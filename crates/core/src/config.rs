@@ -5,10 +5,9 @@ use crate::error::EaszError;
 use crate::mask::{EraseMask, MaskKind, RowSamplerConfig};
 use crate::patchify::PatchGeometry;
 use crate::squeeze::Orientation;
-use serde::{Deserialize, Serialize};
 
 /// Which mask family the pipeline uses (the Fig. 3 / Fig. 7 ablation knob).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MaskStrategy {
     /// The proposed row-based conditional sampler (δ = 1, Δ = 0 defaults).
     Proposed,
@@ -44,7 +43,7 @@ impl MaskStrategy {
 /// Prefer [`EaszConfig::builder`], which validates the invariants
 /// ([`EaszEncoder::new`](crate::EaszEncoder::new) re-checks them for
 /// configurations assembled by hand).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EaszConfig {
     /// Patch side length `n`.
     pub n: usize,

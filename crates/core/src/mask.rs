@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A binary erase mask over an `N × N` sub-patch grid.
@@ -17,7 +16,7 @@ use std::fmt;
 /// Invariant maintained by all constructors: **every row erases exactly the
 /// same number of sub-patches** (`erased_per_row`), which is what keeps the
 /// squeezed patch rectangular (paper Fig. 2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EraseMask {
     n_grid: usize,
     erased_per_row: usize,
@@ -182,7 +181,7 @@ impl EraseMask {
 }
 
 /// Configuration of the paper's row-based conditional sampler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowSamplerConfig {
     /// Grid side length `N`.
     pub n_grid: usize,
@@ -211,7 +210,7 @@ impl RowSamplerConfig {
 }
 
 /// Generators for every mask family in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MaskKind {
     /// The proposed row-based conditional sampler.
     RowConditional(RowSamplerConfig),

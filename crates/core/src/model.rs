@@ -17,11 +17,10 @@ use easz_tensor::{
     init, nn, Gradients, Graph, InferenceSession, ParamSet, QuantizedParams, ScratchArena, Tensor,
     Var,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Hyper-parameters of the reconstructor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconstructorConfig {
     /// Patch geometry the model is built for (fixes the token count).
     pub n: usize,

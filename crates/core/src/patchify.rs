@@ -8,10 +8,9 @@
 //! [`attention_cost_reduction`].
 
 use easz_image::{Channels, ImageF32};
-use serde::{Deserialize, Serialize};
 
 /// Patchify geometry: patch side `n`, sub-patch side `b`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PatchGeometry {
     /// Patch side length in pixels (`n`).
     pub n: usize,

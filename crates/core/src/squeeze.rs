@@ -11,11 +11,10 @@
 use crate::mask::EraseMask;
 use crate::patchify::{extract_token, place_token, PatchGeometry};
 use easz_image::ImageF32;
-use serde::{Deserialize, Serialize};
 
 /// Squeeze direction. Both variants are viable per the paper; horizontal is
 /// the default used in the experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Orientation {
     /// Pack kept sub-patches leftwards; width shrinks.
     Horizontal,
@@ -24,7 +23,7 @@ pub enum Orientation {
 }
 
 /// Placeholder content for erased slots during un-squeeze.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FillMethod {
     /// Zero (black) fill — what the reconstruction model trains against.
     Zero,

@@ -12,11 +12,10 @@ use easz_image::ImageF32;
 use easz_tensor::{AdamW, AdamWConfig, Gradients, Graph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// Training hyper-parameters (defaults = the paper's pretraining setting).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Learning rate (paper: 2.8e-4).
     pub lr: f32,

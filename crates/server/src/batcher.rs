@@ -25,8 +25,8 @@
 //!
 //! The gateway degrades gracefully rather than blocking: a full queue or a
 //! shutdown in progress hands the container back to the connection handler,
-//! which decodes it inline (threaded path) or sheds it with a typed `BUSY`
-//! error (reactor path).
+//! which runs it through the same [`decode_window`] on its own thread
+//! (threaded path) or sheds it with a typed `BUSY` error (reactor path).
 
 use crate::fault;
 use crate::metrics::ServerMetrics;
@@ -39,7 +39,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Turns a caught panic payload into the `Internal` error's message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -505,7 +505,7 @@ impl Batcher {
             // The pop freed a backlog slot; the scheduler may be waiting
             // for exactly that.
             self.ready_cond.notify_all();
-            if self.decode_window(window, decoder) {
+            if self.run_window(window, decoder) {
                 return WorkerExit::Poisoned;
             }
         }
@@ -514,11 +514,11 @@ impl Batcher {
     /// Decodes one window and routes each result to its connection.
     /// Returns `true` if a panic was caught (the worker should be
     /// respawned); even then, every job received exactly one reply.
-    fn decode_window(&self, window: Vec<Job>, decoder: &EaszDecoder<'_>) -> bool {
+    fn run_window(&self, window: Vec<Job>, decoder: &EaszDecoder<'_>) -> bool {
         let dispatched = Instant::now();
         // Jobs already past their deadline at dispatch are answered
         // without decoding — the deadline bounds time-to-decode-start.
-        let (mut window, expired): (Vec<Job>, Vec<Job>) =
+        let (window, expired): (Vec<Job>, Vec<Job>) =
             window.into_iter().partition(|j| !j.expired(dispatched));
         for job in expired {
             self.metrics.record_deadline_expired();
@@ -527,132 +527,136 @@ impl Batcher {
         if window.is_empty() {
             return false;
         }
-        for job in &mut window {
-            let waited = dispatched.saturating_duration_since(job.enqueued);
-            self.metrics.record_queue_wait(waited.as_micros() as u64);
-            job.stamp(TraceStage::Dispatched);
-        }
-        // Fault hooks (compile out of default builds): a stalled decode
-        // for the deadline machinery, per-job forced panics for the
-        // isolation machinery.
-        if let Some(delay) = fault::decode_delay() {
-            std::thread::sleep(delay);
-        }
-        let injected: Vec<bool> = window.iter().map(|_| fault::decode_panic()).collect();
         let mut containers = Vec::with_capacity(window.len());
         let mut engines = Vec::with_capacity(window.len());
         let mut replies = Vec::with_capacity(window.len());
         let mut spans = Vec::with_capacity(window.len());
-        for mut j in window {
-            j.stamp(TraceStage::DecodeStart);
-            containers.push(j.container);
-            engines.push(j.engine);
-            replies.push(j.reply);
-            spans.push(j.span);
+        for mut job in window {
+            let waited = dispatched.saturating_duration_since(job.enqueued);
+            self.metrics.record_queue_wait(waited.as_micros() as u64);
+            job.stamp(TraceStage::Dispatched);
+            containers.push(job.container);
+            engines.push(job.engine);
+            replies.push(job.reply);
+            spans.push(job.span);
         }
-        let started = Instant::now();
-        let fused = catch_unwind(AssertUnwindSafe(|| {
-            if injected.contains(&true) {
-                panic!("{}", fault::INJECTED_PANIC);
-            }
-            decoder.decode_batch_with_stats(&containers, &engines)
-        }));
-        let decode_us = started.elapsed().as_micros() as u64;
-        for span in spans.iter_mut().flatten() {
-            span.stamp(TraceStage::DecodeEnd);
-        }
-        let (results, groups) = match fused {
-            Ok(out) => out,
-            Err(_) => {
-                // The fused forward panicked. Serial decode is
-                // byte-identical to the fused path (the standing
-                // invariant), so re-decoding each job alone under its own
-                // isolation boundary loses nothing — only the culprit
-                // answers with `INTERNAL`, its windowmates still get their
-                // images, and the worker reports itself poisoned.
-                self.metrics.record_panic_caught();
-                self.decode_serial_isolated(
-                    &containers,
-                    &engines,
-                    replies,
-                    spans,
-                    &injected,
-                    decoder,
-                );
-                return true;
-            }
-        };
-        // One histogram record per fused forward group, not per window: the
-        // batch-width histogram measures how many containers actually
-        // shared a transformer forward, so a window the decoder had to
-        // split (mixed models, mixed tiers, mixed kept counts) reports its
-        // true fusion widths. Decode time is apportioned by group width,
-        // remainder to the last group so the total is preserved. A window
-        // whose every job failed validation ran no forward and records
-        // nothing.
-        let fused_width: usize = groups.iter().map(|&(_, width)| width).sum();
-        let mut spent = 0u64;
-        for (gi, &(_, width)) in groups.iter().enumerate() {
-            let us = if gi + 1 == groups.len() {
-                decode_us - spent
-            } else {
-                decode_us * width as u64 / fused_width as u64
-            };
-            spent += us;
-            self.metrics.record_batch(width, us);
-        }
-        // Every job in the window rode the same fused decode, so the
-        // window's decode wall time is each job's decode latency.
-        for _ in 0..replies.len() {
-            self.metrics.record_decode_sample(decode_us);
-        }
+        let (results, poisoned) =
+            decode_window(decoder, &self.metrics, &containers, &engines, &mut spans);
         for ((reply, result), span) in replies.into_iter().zip(results).zip(spans) {
             // If the connection died while its job was queued the callback
             // finds nobody to deliver to and the result is simply dropped.
             reply(result, span);
         }
-        false
+        poisoned
     }
+}
 
-    /// The poisoned-window fallback: decodes each job alone, each under
-    /// its own `catch_unwind`, so exactly the panicking container fails
-    /// (with `INTERNAL`) and every other job still gets its result.
-    fn decode_serial_isolated(
-        &self,
-        containers: &[EaszEncoded],
-        engines: &[DecodeEngine],
-        replies: Vec<ReplyFn>,
-        spans: Vec<Option<SpanCtx>>,
-        injected: &[bool],
-        decoder: &EaszDecoder<'_>,
-    ) {
-        for ((i, reply), mut span) in replies.into_iter().enumerate().zip(spans) {
-            let started = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if injected[i] {
-                    panic!("{}", fault::INJECTED_PANIC);
-                }
-                decoder.decode_as(&containers[i], engines[i])
-            }));
-            let decode_us = started.elapsed().as_micros() as u64;
-            self.metrics.record_decode_sample(decode_us);
-            if let Some(span) = &mut span {
-                span.stamp(TraceStage::DecodeEnd);
-            }
-            match outcome {
-                Ok(result) => {
-                    if result.is_ok() {
-                        self.metrics.record_batch(1, decode_us);
-                    }
-                    reply(result, span);
-                }
-                Err(payload) => {
-                    self.metrics.record_panic_caught();
-                    reply(Err(EaszError::Internal(panic_message(payload))), span);
-                }
-            }
-        }
+/// Stamps `stage` on every span of a window.
+fn stamp_all(spans: &mut [Option<SpanCtx>], stage: TraceStage) {
+    for span in spans.iter_mut().flatten() {
+        span.stamp(stage);
     }
+}
+
+/// The one decode routine of the serving stack: decodes a window of parsed
+/// containers, each on its engine, and returns the results in window order
+/// plus whether a panic was caught. A gateway worker runs its batching
+/// windows through it; a connection handler runs whatever the gateway did
+/// not take (no gateway, full queue, shutdown) — a lone `DECODE` as a
+/// window of one.
+///
+/// The window decodes as one fused call under `catch_unwind`. If that
+/// panics, serial decode is byte-identical to the fused path (the standing
+/// invariant), so each container is re-decoded alone under its own boundary
+/// and only the culprit answers with [`EaszError::Internal`]; its
+/// windowmates still get their images. The fault hooks (a stalled decode,
+/// per-container forced panics) apply here and nowhere else. `spans` are
+/// stamped `DecodeStart`/`DecodeEnd`; the batch-width and decode-time
+/// histograms are fed.
+pub(crate) fn decode_window(
+    decoder: &EaszDecoder<'_>,
+    metrics: &ServerMetrics,
+    containers: &[EaszEncoded],
+    engines: &[DecodeEngine],
+    spans: &mut [Option<SpanCtx>],
+) -> (Vec<Result<ImageF32, EaszError>>, bool) {
+    /// The isolation boundary: a panic — injected for this container, or
+    /// the decoder's own — is caught and handed back as `Err`.
+    fn isolated<T>(
+        inject: bool,
+        decode: impl FnOnce() -> T,
+    ) -> Result<T, Box<dyn std::any::Any + Send>> {
+        catch_unwind(AssertUnwindSafe(|| {
+            if inject {
+                panic!("{}", fault::INJECTED_PANIC);
+            }
+            decode()
+        }))
+    }
+    if let Some(delay) = fault::decode_delay() {
+        std::thread::sleep(delay);
+    }
+    // Fault flags are drawn per container *before* the fused attempt so the
+    // serial fallback re-fires the same panics.
+    let injected: Vec<bool> = containers.iter().map(|_| fault::decode_panic()).collect();
+    stamp_all(spans, TraceStage::DecodeStart);
+    let started = Instant::now();
+    let fused =
+        isolated(injected.contains(&true), || decoder.decode_batch_with_stats(containers, engines));
+    let decode_us = started.elapsed().as_micros() as u64;
+    stamp_all(spans, TraceStage::DecodeEnd);
+    let Ok((results, groups)) = fused else {
+        metrics.record_panic_caught();
+        let results = (0..containers.len())
+            .map(|i| {
+                let started = Instant::now();
+                let outcome =
+                    isolated(injected[i], || decoder.decode_as(&containers[i], engines[i]));
+                let decode_us = started.elapsed().as_micros() as u64;
+                metrics.record_decode_sample(decode_us);
+                if let Some(span) = &mut spans[i] {
+                    span.stamp(TraceStage::DecodeEnd);
+                }
+                match outcome {
+                    Ok(result) => {
+                        if result.is_ok() {
+                            metrics.record_batch(1, decode_us);
+                        }
+                        result
+                    }
+                    Err(payload) => {
+                        metrics.record_panic_caught();
+                        Err(EaszError::Internal(panic_message(payload)))
+                    }
+                }
+            })
+            .collect();
+        return (results, true);
+    };
+    // One histogram record per fused forward group, not per window: the
+    // batch-width histogram measures how many containers actually shared a
+    // transformer forward, so a window the decoder had to split (mixed
+    // models, mixed tiers, mixed kept counts) reports its true fusion
+    // widths. Decode time is apportioned by group width, remainder to the
+    // last group so the total is preserved. A window whose every container
+    // failed validation ran no forward and records nothing.
+    let fused_width: usize = groups.iter().map(|&(_, width)| width).sum();
+    let mut spent = 0u64;
+    for (gi, &(_, width)) in groups.iter().enumerate() {
+        let us = if gi + 1 == groups.len() {
+            decode_us - spent
+        } else {
+            decode_us * width as u64 / fused_width as u64
+        };
+        spent += us;
+        metrics.record_batch(width, us);
+    }
+    // Every container rode the same fused decode, so the window's decode
+    // wall time is each one's decode latency.
+    for _ in containers {
+        metrics.record_decode_sample(decode_us);
+    }
+    (results, false)
 }
 
 #[cfg(test)]
@@ -668,6 +672,13 @@ mod tests {
             .expect("encoder");
         let img = Dataset::KodakLike.image(seed as usize % 8).crop(0, 0, 64, 64);
         enc.compress(&img, &JpegLikeCodec::new(), Quality::new(75)).expect("compress")
+    }
+
+    /// Holds the fault serialization lock with a plan that injects nothing:
+    /// the hooks are process-global, so a test that submits or decodes
+    /// without it can draw a fault another test scheduled for itself.
+    fn no_faults() -> fault::FaultGuard {
+        fault::install(fault::FaultPlan::default())
     }
 
     /// Submits through a channel-backed reply, mirroring the threaded path.
@@ -736,6 +747,7 @@ mod tests {
 
     #[test]
     fn window_closes_on_max_batch_and_fuses_mixed_masks() {
+        let _quiet = no_faults();
         let config = GatewayConfig { max_batch: 3, max_wait_us: 60_000_000, ..Default::default() };
         let ((), metrics) = with_batcher(config, |batcher, decoder| {
             // Distinct seeds => distinct masks; one window must still fuse
@@ -764,6 +776,7 @@ mod tests {
 
     #[test]
     fn mixed_tier_window_never_fuses_but_replies_match_serial_per_tier() {
+        let _quiet = no_faults();
         // One window holding both tiers of the same container: each reply
         // must be bit-equal to its own tier's serial decode, and the two
         // tiers must differ — proof the fused window kept them on separate
@@ -801,6 +814,7 @@ mod tests {
 
     #[test]
     fn window_closes_on_max_wait() {
+        let _quiet = no_faults();
         let config = GatewayConfig { max_batch: 64, max_wait_us: 1_000, ..Default::default() };
         let ((), metrics) = with_batcher(config, |batcher, _| {
             let rx = submit_chan(batcher, container(5), DecodeEngine::TapeFree, 1)
@@ -814,6 +828,7 @@ mod tests {
 
     #[test]
     fn full_queue_hands_the_container_back() {
+        let _quiet = no_faults();
         let config = GatewayConfig {
             max_batch: 64,
             max_wait_us: 60_000_000,
@@ -835,6 +850,7 @@ mod tests {
 
     #[test]
     fn shutdown_flushes_parked_jobs() {
+        let _quiet = no_faults();
         let model = Reconstructor::new(ReconstructorConfig::fast());
         let decoder = EaszDecoder::new(&model);
         let metrics = Arc::new(ServerMetrics::new());
@@ -857,6 +873,7 @@ mod tests {
 
     #[test]
     fn gateway_stamps_every_queue_milestone_on_the_span() {
+        let _quiet = no_faults();
         use crate::trace::{TraceConfig, Tracer};
         let tracer = Tracer::new(TraceConfig::default());
         let config = GatewayConfig { max_batch: 1, max_wait_us: 1_000, ..Default::default() };
@@ -893,6 +910,7 @@ mod tests {
 
     #[test]
     fn window_draw_is_round_robin_across_sources() {
+        let _quiet = no_faults();
         // One flooding source (4 jobs) plus two light ones: the draw must
         // interleave one-per-source before giving the flooder extra slots.
         let config = GatewayConfig { max_wait_us: 60_000_000, ..Default::default() };
@@ -913,6 +931,7 @@ mod tests {
 
     #[test]
     fn partial_draw_keeps_remaining_sources_rotated() {
+        let _quiet = no_faults();
         let config = GatewayConfig { max_wait_us: 60_000_000, ..Default::default() };
         let batcher = Batcher::new(config, Arc::new(ServerMetrics::new()));
         let tier = DecodeEngine::TapeFree;
@@ -946,6 +965,7 @@ mod tests {
 
     #[test]
     fn submissions_feed_the_arrival_ewma() {
+        let _quiet = no_faults();
         let config = GatewayConfig { max_wait_us: 60_000_000, ..Default::default() };
         let metrics = Arc::new(ServerMetrics::new());
         let batcher = Batcher::new(config, metrics.clone());
@@ -974,6 +994,7 @@ mod tests {
 
     #[test]
     fn deadline_sweeps_parked_jobs_when_workers_stall() {
+        let _quiet = no_faults();
         // One-slot windows, a 20ms deadline, and *no* workers: every job
         // parks — in the ready backlog, in the scheduler's hand, or in the
         // queue — and only the sweep can answer. Pre-deadline every reply

@@ -18,8 +18,14 @@
 //! The wire format (both the `.easz` container and this crate's framing)
 //! is specified normatively in `docs/FORMAT.md` at the repository root.
 //!
-//! * [`EaszServer`] — multi-threaded accept loop (`std::net::TcpListener` +
-//!   `std::thread::scope`, no external dependencies); one shared model,
+//! * [`EaszServer`] — two thin front ends over one core: every protocol
+//!   decision (tier bytes, batch envelopes, the `PING`/`STATS`/`TRACE`
+//!   payload rules, the unknown-frame close, `IMAGE`/`ERROR`
+//!   serialization and their counters) is made by one transport-free
+//!   dispatcher (`dispatch.rs`), and every decode runs through one
+//!   isolated routine (`decode_window` in `batcher.rs`). The default front
+//!   end is a multi-threaded accept loop (`std::net::TcpListener` +
+//!   `std::thread::scope`, no external dependencies): one shared model,
 //!   one handler thread per connection.
 //! * [`GatewayConfig`] — the cross-connection batching scheduler: window
 //!   size (`max_batch`), window latency budget (`max_wait_us`), decode
@@ -90,9 +96,14 @@
 //!   budget follows the observed inter-arrival EWMA: sparse traffic
 //!   dispatches immediately, bursts wait just long enough to fill.
 //!
-//! Replies on the reactor path are byte-identical to the threaded path
+//! Both front ends drive the same dispatcher and the same decode routine,
+//! so replies on the reactor path are byte-identical to the threaded path
 //! and to serial local decoding — enforced by the loopback test suite.
-//! The threaded path remains the default.
+//! What differs is I/O (blocking `read_frame`/`write` per handler thread
+//! vs frame assembler + ordered reply queue on the loop) and one policy:
+//! a decode the gateway cannot take runs on the handler thread in the
+//! threaded front end and is shed with `BUSY` by the reactor. The threaded
+//! path remains the default.
 //!
 //! ## Failure model
 //!
@@ -109,10 +120,13 @@
 //!    if no worker picks it up in time it is swept unstarted and answered,
 //!    so a stalled pool can never park a handler in `reply.recv()`
 //!    forever.
-//! 3. **Panic isolation (code 37, `INTERNAL`)** — every decode (gateway
-//!    worker, threaded handler, reactor job) runs under `catch_unwind`; a
-//!    panicking container fails *its own* request, the supervisor respawns
-//!    the poisoned worker, and the connection keeps serving.
+//! 3. **Panic isolation (code 37, `INTERNAL`)** — every decode runs
+//!    through the one `decode_window` routine, whether a gateway worker
+//!    calls it with a batching window or a threaded handler with whatever
+//!    the gateway did not take; its `catch_unwind` is the only one in the
+//!    crate. A panicking container fails *its own* request (its windowmates
+//!    are re-decoded serially), the supervisor respawns a poisoned worker,
+//!    and the connection keeps serving.
 //! 4. **Graceful drain** — shutdown (or SIGTERM in `easz-serve`) stops
 //!    accepting, flushes parked gateway jobs, and answers everything
 //!    in-flight before closing — the shutdown-flush invariant.
@@ -125,9 +139,10 @@
 //! Every stage is testable on demand: the [`fault`] module injects seeded,
 //! deterministic faults (torn writes, EINTR storms, aborted accepts,
 //! stalled or panicking decodes) at the syscall shim, protocol, and
-//! gateway layers; `tests/chaos.rs` soaks both front ends under
-//! randomized schedules and asserts exactly-one-reply, metrics
-//! reconciliation, and byte-identity of every successful reply.
+//! gateway layers; `tests/chaos.rs` soaks both front ends (the threaded
+//! one with and without a gateway) under randomized schedules and asserts
+//! exactly-one-reply, metrics reconciliation, and byte-identity of every
+//! successful reply.
 //!
 //! ## Observability
 //!
@@ -164,6 +179,7 @@
 
 mod batcher;
 mod client;
+mod dispatch;
 pub mod fault;
 mod metrics;
 pub mod protocol;
@@ -183,3 +199,28 @@ pub use server::{EaszServer, ServerConfig, ServerHandle};
 pub use trace::{
     SpanCtx, TraceConfig, TraceReport, TraceSpan, TraceStage, Tracer, STAMP_UNSET, TRACE_STAGES,
 };
+
+/// The seeded generator this crate's sweep tests draw from.
+#[cfg(test)]
+mod test_rng {
+    /// Split-mix-seeded xorshift, the construction `tests/parse_fuzz.rs`
+    /// and the fault injector use: a case replays exactly from its seed.
+    pub struct Rng(u64);
+
+    impl Rng {
+        pub fn new(seed: u64) -> Self {
+            Self(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x0123_4567_89AB_CDEF) | 1)
+        }
+
+        pub fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        pub fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound.max(1) as u64) as usize
+        }
+    }
+}

@@ -308,22 +308,32 @@ impl From<io::Error> for FrameReadError {
 ///
 /// Propagates transport errors.
 pub fn write_frame(w: &mut impl Write, frame_type: u8, payload: &[u8]) -> io::Result<()> {
-    assert!(payload.len() <= u32::MAX as usize, "frame payload too large to announce");
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[0] = frame_type;
-    header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    // Fault hook (compiles out of default builds): tear the payload across
+    w.write_all(&frame_header(frame_type, payload.len()))?;
+    write_flushed(w, payload)
+}
+
+/// Writes `bytes` — a frame payload, or a whole frame already serialized by
+/// [`frame_bytes`] — and flushes.
+pub(crate) fn write_flushed(w: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
+    // Fault hook (compiles out of default builds): tear the bytes across
     // two flushed writes so the peer must reassemble the frame from partial
     // reads — the wire-level shape of a short write.
-    if let Some(split) = crate::fault::write_split(payload.len()) {
-        w.write_all(&payload[..split])?;
+    if let Some(split) = crate::fault::write_split(bytes.len()) {
+        w.write_all(&bytes[..split])?;
         w.flush()?;
-        w.write_all(&payload[split..])?;
+        w.write_all(&bytes[split..])?;
         return w.flush();
     }
-    w.write_all(payload)?;
+    w.write_all(bytes)?;
     w.flush()
+}
+
+fn frame_header(frame_type: u8, payload_len: usize) -> [u8; FRAME_HEADER_LEN] {
+    assert!(payload_len <= u32::MAX as usize, "frame payload too large to announce");
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[0] = frame_type;
+    header[1..5].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    header
 }
 
 /// Serializes one frame into owned bytes — the header of [`write_frame`]
@@ -334,11 +344,20 @@ pub fn write_frame(w: &mut impl Write, frame_type: u8, payload: &[u8]) -> io::Re
 ///
 /// As [`write_frame`], if `payload` exceeds `u32::MAX` bytes.
 pub fn frame_bytes(frame_type: u8, payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= u32::MAX as usize, "frame payload too large to announce");
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.push(frame_type);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&frame_header(frame_type, payload.len()));
     out.extend_from_slice(payload);
+    out
+}
+
+/// The serialized [`IMAGE`] frame for `img`: what
+/// `frame_bytes(IMAGE, &encode_image(img))` returns, without the
+/// intermediate copy of the payload.
+pub(crate) fn image_frame(img: &ImageU8) -> Vec<u8> {
+    let payload_len = IMAGE_HEADER_LEN + img.data().len();
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload_len);
+    out.extend_from_slice(&frame_header(IMAGE, payload_len));
+    put_image(&mut out, img);
     out
 }
 
@@ -380,16 +399,23 @@ pub fn read_frame(
     Ok(Some((first[0], payload)))
 }
 
+/// Bytes of an [`IMAGE`] payload ahead of the samples.
+const IMAGE_HEADER_LEN: usize = 9;
+
 /// Serializes a decoded image into an [`IMAGE`] frame payload: u32 LE
 /// width, u32 LE height, a channel-count byte (`1` = grayscale, `3` = RGB),
 /// then `width * height * channels` interleaved 8-bit samples.
 pub fn encode_image(img: &ImageU8) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9 + img.data().len());
+    let mut out = Vec::with_capacity(IMAGE_HEADER_LEN + img.data().len());
+    put_image(&mut out, img);
+    out
+}
+
+fn put_image(out: &mut Vec<u8>, img: &ImageU8) {
     out.extend_from_slice(&(img.width() as u32).to_le_bytes());
     out.extend_from_slice(&(img.height() as u32).to_le_bytes());
     out.push(img.channels().count() as u8);
     out.extend_from_slice(img.data());
-    out
 }
 
 /// Parses an [`IMAGE`] frame payload.
@@ -399,7 +425,7 @@ pub fn encode_image(img: &ImageU8) -> Vec<u8> {
 /// A description of the malformation (short payload, channel byte other
 /// than 1 or 3, sample count disagreeing with the announced dimensions).
 pub fn decode_image(payload: &[u8]) -> Result<ImageU8, String> {
-    if payload.len() < 9 {
+    if payload.len() < IMAGE_HEADER_LEN {
         return Err(format!("image payload of {} bytes is too short", payload.len()));
     }
     let width = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")) as usize;
@@ -517,6 +543,7 @@ mod tests {
     fn image_payload_round_trip() {
         let img = ImageU8::from_vec(3, 2, Channels::Rgb, (0..18).collect());
         let payload = encode_image(&img);
+        assert_eq!(image_frame(&img), frame_bytes(IMAGE, &payload));
         let back = decode_image(&payload).expect("parse");
         assert_eq!(back.width(), 3);
         assert_eq!(back.height(), 2);

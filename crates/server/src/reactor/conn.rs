@@ -359,6 +359,139 @@ mod tests {
         assert_eq!((n, event), (0, None));
     }
 
+    /// A blocking reader over pre-cut chunks: each `read` hands out at most
+    /// the rest of one chunk, so `read_frame` sees the same fragmentation
+    /// the assembler is pushed.
+    struct Chunked<'a> {
+        chunks: &'a [&'a [u8]],
+        at: usize,
+        /// Bytes handed out so far.
+        position: usize,
+    }
+
+    impl std::io::Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            while self.chunks.first().is_some_and(|c| self.at == c.len()) {
+                self.chunks = &self.chunks[1..];
+                self.at = 0;
+            }
+            let Some(chunk) = self.chunks.first() else { return Ok(0) };
+            let n = buf.len().min(chunk.len() - self.at);
+            buf[..n].copy_from_slice(&chunk[self.at..self.at + n]);
+            self.at += n;
+            self.position += n;
+            Ok(n)
+        }
+    }
+
+    /// What either parser made of a stream: frames and oversize reports in
+    /// order, each with the stream position it was reported at.
+    #[derive(Debug, PartialEq)]
+    enum Parsed {
+        Frame(u8, Vec<u8>, usize),
+        Oversize { announced: usize, limit: usize, at: usize },
+    }
+
+    #[test]
+    fn assembler_and_blocking_reader_agree_on_arbitrarily_split_streams() {
+        const LIMIT: usize = 48;
+        let (mut oversized, mut truncated, mut clean) = (0, 0, 0);
+        for case in 0..2_000u64 {
+            let mut rng = crate::test_rng::Rng::new(0xF4A3_0000 + case);
+            // A stream of valid frames, sometimes ended by an oversize
+            // header (with some of its payload following), sometimes cut
+            // short at an arbitrary byte.
+            let mut stream = Vec::new();
+            for _ in 0..rng.below(6) {
+                let payload: Vec<u8> =
+                    (0..rng.below(LIMIT + 1)).map(|_| rng.next() as u8).collect();
+                stream.extend(frame(rng.next() as u8, &payload));
+            }
+            if rng.below(3) == 0 {
+                let announced = LIMIT + 1 + rng.below(200);
+                stream.push(rng.next() as u8);
+                stream.extend_from_slice(&(announced as u32).to_le_bytes());
+                stream.extend((0..rng.below(announced + 40)).map(|_| rng.next() as u8));
+            }
+            if rng.below(3) == 0 {
+                stream.truncate(rng.below(stream.len() + 1));
+            }
+            let mut cuts: Vec<usize> =
+                (0..rng.below(8)).map(|_| rng.below(stream.len() + 1)).collect();
+            cuts.extend([0, stream.len()]);
+            cuts.sort_unstable();
+            let chunks: Vec<&[u8]> = cuts.windows(2).map(|w| &stream[w[0]..w[1]]).collect();
+
+            // The blocking reader: frames until EOF, an oversize header or
+            // a mid-frame end of stream.
+            let mut reader = Chunked { chunks: &chunks, at: 0, position: 0 };
+            let mut blocking = Vec::new();
+            let clean_eof = loop {
+                match protocol::read_frame(&mut reader, LIMIT) {
+                    Ok(Some((ty, payload))) => {
+                        blocking.push(Parsed::Frame(ty, payload, reader.position))
+                    }
+                    Ok(None) => break true,
+                    Err(protocol::FrameReadError::Oversize { announced, limit }) => {
+                        blocking.push(Parsed::Oversize { announced, limit, at: reader.position });
+                        break false;
+                    }
+                    Err(protocol::FrameReadError::Io(e)) => {
+                        assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "case {case}");
+                        break false;
+                    }
+                }
+            };
+
+            // The assembler, pushed the same chunks.
+            let mut asm = FrameAssembler::new(LIMIT);
+            let mut incremental = Vec::new();
+            let mut position = 0;
+            for chunk in &chunks {
+                let mut rest = *chunk;
+                while !rest.is_empty() {
+                    let (n, event) = asm.push(rest);
+                    position += n;
+                    rest = &rest[n..];
+                    match event {
+                        Some(FrameEvent::Frame { frame_type, payload }) => {
+                            incremental.push(Parsed::Frame(frame_type, payload, position))
+                        }
+                        Some(FrameEvent::Oversize { announced, limit }) => {
+                            incremental.push(Parsed::Oversize { announced, limit, at: position })
+                        }
+                        None if n == 0 => break,
+                        None => {}
+                    }
+                }
+            }
+            assert_eq!(incremental, blocking, "case {case}: parsers disagree on {stream:?}");
+
+            // Where input stops being consumed: the reader stops at the
+            // oversize header; the assembler swallows the announced payload
+            // behind it and not a byte more. Without one, both take it all.
+            if let Some(Parsed::Oversize { announced, at, .. }) = blocking.last() {
+                oversized += 1;
+                assert_eq!(reader.position, *at, "case {case}");
+                assert!(asm.is_draining(), "case {case}");
+                assert_eq!(position, stream.len().min(at + announced), "case {case}");
+                assert_eq!(asm.drained(), stream.len() >= at + announced, "case {case}");
+            } else {
+                assert_eq!((reader.position, position), (stream.len(), stream.len()), "{case}");
+                let framed = blocking.last().map_or(0, |p| match p {
+                    Parsed::Frame(_, _, at) | Parsed::Oversize { at, .. } => *at,
+                });
+                assert_eq!(clean_eof, framed == stream.len(), "case {case}: EOF between frames");
+                if clean_eof {
+                    clean += 1;
+                } else {
+                    truncated += 1;
+                }
+            }
+        }
+        assert!(oversized > 200 && truncated > 200 && clean > 200, "sweep too narrow");
+    }
+
     #[test]
     fn outbuf_tracks_partial_writes() {
         let mut out = OutBuf::default();

@@ -13,12 +13,16 @@
 //!   [`conn::OutBuf`] surviving partial writes, and a [`conn::ReplyQueue`]
 //!   keeping pipelined replies in request order while decode workers
 //!   complete in any order.
-//! - **Decode hand-off** — complete `DECODE`-family frames are submitted
-//!   to the shared gateway [`Batcher`](crate::batcher::Batcher) with the
-//!   connection id as the fairness source; the reply closure serializes
-//!   the `IMAGE`/`ERROR` frame on the worker thread and posts it to a
-//!   completion queue, waking the loop through a socketpair waker. The
-//!   loop itself never decodes.
+//! - **Protocol** — what a complete frame asks for is decided by the
+//!   transport-free [`Dispatch`](crate::dispatch::Dispatch) core the
+//!   threaded front end drives too; this module only moves bytes and
+//!   applies the reactor's own policies (admission, shedding).
+//! - **Decode hand-off** — the members of `DECODE`-family frames are
+//!   submitted to the shared gateway [`Batcher`](crate::batcher::Batcher)
+//!   with the connection id as the fairness source; the reply closure
+//!   serializes the `IMAGE`/`ERROR` frame on the worker thread and posts
+//!   it to a completion queue, waking the loop through a socketpair waker.
+//!   The loop itself never decodes.
 //! - **Backpressure** — a connection with too many decodes in flight or
 //!   too many unflushed reply bytes stops being read (its `EPOLLIN`
 //!   interest is dropped) until it drains; the kernel's receive buffer
@@ -82,7 +86,7 @@ pub(crate) fn run(
     _reactor: &ReactorConfig,
     _metrics: &std::sync::Arc<crate::metrics::ServerMetrics>,
     _batcher: &crate::batcher::Batcher,
-    _tracer: Option<&crate::trace::Tracer>,
+    _dispatch: crate::dispatch::Dispatch<'_>,
 ) -> std::io::Result<()> {
     Err(std::io::Error::new(
         std::io::ErrorKind::Unsupported,
@@ -96,11 +100,11 @@ mod linux {
     use super::sys::{Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
     use super::ReactorConfig;
     use crate::batcher::Batcher;
+    use crate::dispatch::{error_frame, reply_frame, Action, Dispatch, Member};
     use crate::metrics::ServerMetrics;
-    use crate::protocol::{self, EngineTier, ErrorCode, WireError};
+    use crate::protocol::ErrorCode;
     use crate::server::ServerConfig;
-    use crate::trace::{SpanCtx, TraceStage, Tracer};
-    use easz_core::EaszEncoded;
+    use crate::trace::{SpanCtx, TraceStage};
     use std::collections::HashMap;
     use std::io::{self, Read, Write};
     use std::net::{TcpListener, TcpStream};
@@ -201,9 +205,17 @@ mod linux {
         }
     }
 
-    /// Serializes a typed error into a ready-to-queue `ERROR` frame.
-    fn error_frame(code: ErrorCode, message: String) -> Vec<u8> {
-        protocol::frame_bytes(protocol::ERROR, &WireError { code, message }.to_payload())
+    /// What the loop's helpers share, bundled so their signatures stay
+    /// readable.
+    struct Shared<'a> {
+        epoll: Epoll,
+        config: &'a ServerConfig,
+        reactor: &'a ReactorConfig,
+        metrics: &'a Arc<ServerMetrics>,
+        batcher: &'a Batcher,
+        /// The protocol core, shared with the threaded front end.
+        dispatch: Dispatch<'a>,
+        completions: Arc<Completions>,
     }
 
     /// Runs the reactor until shutdown. Mirrors the threaded
@@ -216,7 +228,7 @@ mod linux {
         reactor: &ReactorConfig,
         metrics: &Arc<ServerMetrics>,
         batcher: &Batcher,
-        tracer: Option<&Tracer>,
+        dispatch: Dispatch<'_>,
     ) -> io::Result<()> {
         let epoll = Epoll::new()?;
         listener.set_nonblocking(true)?;
@@ -234,6 +246,7 @@ mod linux {
         waker_tx.set_nonblocking(true)?;
         epoll.add(waker_rx.as_raw_fd(), EPOLLIN, TOKEN_WAKER)?;
         let completions = Arc::new(Completions { posted: Mutex::new(Vec::new()), waker: waker_tx });
+        let shared = Shared { epoll, config, reactor, metrics, batcher, dispatch, completions };
 
         let idle_timeout = config.read_timeout.filter(|t| !t.is_zero());
         let mut conns: HashMap<u64, Connection> = HashMap::new();
@@ -246,14 +259,14 @@ mod linux {
         let mut draining: Option<Instant> = None;
 
         loop {
-            epoll.wait(&mut events, Some(TICK))?;
+            shared.epoll.wait(&mut events, Some(TICK))?;
             let now = Instant::now();
 
             if draining.is_none() && shutdown.load(Ordering::Acquire) {
                 // Stop accepting, stop reading, flush the gateway: every
                 // already-parked job still gets its reply written out —
                 // the shutdown-flush invariant, readiness-style.
-                let _ = epoll.delete(listener.as_raw_fd());
+                let _ = shared.epoll.delete(listener.as_raw_fd());
                 for conn in conns.values_mut() {
                     conn.read_closed = true;
                     conn.close_when_flushed = true;
@@ -271,15 +284,7 @@ mod linux {
                 match token {
                     TOKEN_LISTENER => {
                         if draining.is_none() {
-                            accept_ready(
-                                &listener,
-                                &epoll,
-                                config,
-                                reactor,
-                                metrics,
-                                &mut conns,
-                                &mut next_token,
-                            )?;
+                            accept_ready(&listener, &shared, &mut conns, &mut next_token)?;
                         }
                     }
                     TOKEN_WAKER => {
@@ -294,24 +299,14 @@ mod linux {
                     token => {
                         let Some(conn) = conns.get_mut(&token) else { continue };
                         if bits & EPOLLERR != 0 {
-                            close_conn(&epoll, &mut conns, token, metrics);
+                            close_conn(&shared, &mut conns, token);
                             continue;
                         }
                         if bits & (EPOLLIN | EPOLLHUP) != 0 && !conn.read_closed {
-                            read_ready(
-                                conn,
-                                token,
-                                config,
-                                reactor,
-                                metrics,
-                                batcher,
-                                tracer,
-                                &completions,
-                                &mut scratch,
-                            );
+                            read_ready(conn, token, &shared, &mut scratch);
                         } else if bits & EPOLLHUP != 0 && conn.out.is_empty() {
                             // Hangup with nothing left to deliver.
-                            close_conn(&epoll, &mut conns, token, metrics);
+                            close_conn(&shared, &mut conns, token);
                             continue;
                         }
                         touched.push(token);
@@ -323,7 +318,7 @@ mod linux {
             // connection simply drops the frame — it died while its job
             // was queued (the span dies with it: the reply was never
             // written, so `reply-written` would be a lie).
-            for (conn_id, seq, frame, span, ok) in completions.drain() {
+            for (conn_id, seq, frame, span, ok) in shared.completions.drain() {
                 if let Some(conn) = conns.get_mut(&conn_id) {
                     conn.replies.fill(seq, frame, span, ok);
                     touched.push(conn_id);
@@ -338,8 +333,8 @@ mod linux {
             touched.sort_unstable();
             touched.dedup();
             for token in touched {
-                if !pump(&mut conns, token, &epoll, reactor, metrics, tracer, now) {
-                    close_conn(&epoll, &mut conns, token, metrics);
+                if !pump(&mut conns, token, &shared, now) {
+                    close_conn(&shared, &mut conns, token);
                 }
             }
 
@@ -351,7 +346,7 @@ mod linux {
                     // Grace spent: abandon slow readers.
                     let tokens: Vec<u64> = conns.keys().copied().collect();
                     for token in tokens {
-                        close_conn(&epoll, &mut conns, token, metrics);
+                        close_conn(&shared, &mut conns, token);
                     }
                     return Ok(());
                 }
@@ -370,8 +365,8 @@ mod linux {
                     .map(|(t, _)| *t)
                     .collect();
                 for token in expired {
-                    let _ = pump(&mut conns, token, &epoll, reactor, metrics, tracer, now);
-                    close_conn(&epoll, &mut conns, token, metrics);
+                    let _ = pump(&mut conns, token, &shared, now);
+                    close_conn(&shared, &mut conns, token);
                 }
                 if let Some(timeout) = idle_timeout {
                     // Idle = nothing owed to the peer and nothing heard
@@ -388,7 +383,7 @@ mod linux {
                         .map(|(t, _)| *t)
                         .collect();
                     for token in stale {
-                        close_conn(&epoll, &mut conns, token, metrics);
+                        close_conn(&shared, &mut conns, token);
                     }
                 }
             }
@@ -398,10 +393,7 @@ mod linux {
     /// Accepts every pending connection, admitting or refusing each.
     fn accept_ready(
         listener: &TcpListener,
-        epoll: &Epoll,
-        config: &ServerConfig,
-        reactor: &ReactorConfig,
-        metrics: &Arc<ServerMetrics>,
+        shared: &Shared<'_>,
         conns: &mut HashMap<u64, Connection>,
         next_token: &mut u64,
     ) -> io::Result<()> {
@@ -430,46 +422,36 @@ mod linux {
             if stream.set_nonblocking(true).is_err() {
                 continue; // dropped: an unpollable socket cannot be served
             }
-            if conns.len() >= reactor.max_connections {
+            let limit = shared.reactor.max_connections;
+            if conns.len() >= limit {
                 // Admission control: answer with a typed BUSY frame
                 // (best effort — a fresh socket's send buffer is empty,
                 // so the single write virtually always lands) and close.
-                metrics.record_connection_refused();
-                metrics.record_error(ErrorCode::Busy);
+                shared.metrics.record_connection_refused();
                 let frame = error_frame(
+                    shared.metrics,
                     ErrorCode::Busy,
-                    format!("server is at its {} connection limit", reactor.max_connections),
+                    format!("server is at its {limit} connection limit"),
                 );
                 let _ = (&stream).write(&frame);
                 continue;
             }
             let token = *next_token;
             *next_token += 1;
-            if epoll.add(stream.as_raw_fd(), EPOLLIN, token).is_err() {
-                metrics.record_connection_refused();
+            if shared.epoll.add(stream.as_raw_fd(), EPOLLIN, token).is_err() {
+                shared.metrics.record_connection_refused();
                 continue;
             }
-            metrics.record_connection_open();
-            conns.insert(token, Connection::new(stream, config.max_frame_len));
+            shared.metrics.record_connection_open();
+            conns.insert(token, Connection::new(stream, shared.config.max_frame_len));
         }
     }
 
     /// Drains a readable connection into its assembler, dispatching every
     /// complete frame, bounded by `READ_BUDGET` per call.
-    #[allow(clippy::too_many_arguments)]
-    fn read_ready(
-        conn: &mut Connection,
-        token: u64,
-        config: &ServerConfig,
-        reactor: &ReactorConfig,
-        metrics: &Arc<ServerMetrics>,
-        batcher: &Batcher,
-        tracer: Option<&Tracer>,
-        completions: &Arc<Completions>,
-        scratch: &mut [u8],
-    ) {
+    fn read_ready(conn: &mut Connection, token: u64, shared: &Shared<'_>, scratch: &mut [u8]) {
         let mut budget = READ_BUDGET;
-        while budget > 0 && !conn.read_closed && !conn.paused(reactor) {
+        while budget > 0 && !conn.read_closed && !conn.paused(shared.reactor) {
             let mut want = budget.min(scratch.len());
             if crate::fault::short_read() {
                 // Injected short read: the kernel hands over one byte, so
@@ -503,30 +485,14 @@ mod linux {
                 rest = &rest[consumed..];
                 match event {
                     Some(FrameEvent::Frame { frame_type, payload }) => {
-                        handle_frame(
-                            conn,
-                            token,
-                            frame_type,
-                            payload,
-                            config,
-                            metrics,
-                            batcher,
-                            tracer,
-                            completions,
-                        );
+                        handle_frame(conn, token, frame_type, &payload, shared);
                     }
                     Some(FrameEvent::Oversize { announced, limit }) => {
                         // Framing is lost: answer once, then linger just
                         // long enough to swallow the announced bytes so
                         // the close does not RST the reply away.
-                        metrics.record_error(ErrorCode::Oversize);
-                        conn.replies.reserve(
-                            Some(error_frame(
-                                ErrorCode::Oversize,
-                                format!("frame announces {announced} bytes, limit is {limit}"),
-                            )),
-                            ReplyMeta::inline(),
-                        );
+                        let frame = shared.dispatch.oversize(announced, limit);
+                        conn.replies.reserve(Some(frame), ReplyMeta::inline());
                         conn.close_when_flushed = true;
                         conn.close_deadline = Some(Instant::now() + OVERSIZE_LINGER);
                     }
@@ -541,229 +507,78 @@ mod linux {
         }
     }
 
-    /// Dispatches one complete inbound frame. Decode work goes to the
-    /// gateway; everything else is answered inline through the reply
-    /// queue so pipelined responses keep request order.
-    #[allow(clippy::too_many_arguments)]
+    /// Acts on one complete inbound frame as the protocol core decides.
+    /// Decode work goes to the gateway; everything else is answered inline
+    /// through the reply queue so pipelined responses keep request order.
     fn handle_frame(
         conn: &mut Connection,
         token: u64,
         frame_type: u8,
-        payload: Vec<u8>,
-        config: &ServerConfig,
-        metrics: &Arc<ServerMetrics>,
-        batcher: &Batcher,
-        tracer: Option<&Tracer>,
-        completions: &Arc<Completions>,
+        payload: &[u8],
+        shared: &Shared<'_>,
     ) {
-        match frame_type {
-            protocol::DECODE | protocol::DECODE_TIERED => {
-                let (tier, container) = if frame_type == protocol::DECODE_TIERED {
-                    match crate::server::split_tier(&payload) {
-                        Ok(pair) => pair,
-                        Err(message) => {
-                            metrics.record_error(ErrorCode::Protocol);
-                            conn.replies.reserve(
-                                Some(error_frame(ErrorCode::Protocol, message)),
-                                ReplyMeta::inline(),
-                            );
-                            return;
-                        }
-                    }
-                } else {
-                    (None, payload.as_slice())
-                };
-                metrics.record_requests(1);
-                submit_container(
-                    conn,
-                    token,
-                    frame_type,
-                    container,
-                    tier,
-                    metrics,
-                    batcher,
-                    tracer,
-                    completions,
-                );
+        // The frame is assembled: the service-time clock starts here.
+        let received = Instant::now();
+        match shared.dispatch.dispatch(frame_type, payload, token) {
+            Action::Reply(frame) => {
+                conn.replies.reserve(Some(frame), ReplyMeta::inline());
             }
-            protocol::DECODE_BATCH | protocol::DECODE_BATCH_TIERED => {
-                let (tier, batch_payload) = if frame_type == protocol::DECODE_BATCH_TIERED {
-                    match crate::server::split_tier(&payload) {
-                        Ok(pair) => pair,
-                        Err(message) => {
-                            metrics.record_error(ErrorCode::Protocol);
-                            conn.replies.reserve(
-                                Some(error_frame(ErrorCode::Protocol, message)),
-                                ReplyMeta::inline(),
-                            );
-                            return;
-                        }
-                    }
-                } else {
-                    (None, payload.as_slice())
-                };
-                match protocol::decode_batch_payload(batch_payload, config.max_batch) {
-                    Err(message) => {
-                        metrics.record_error(ErrorCode::Protocol);
-                        conn.replies.reserve(
-                            Some(error_frame(ErrorCode::Protocol, message)),
-                            ReplyMeta::inline(),
-                        );
-                    }
-                    Ok(containers) => {
-                        metrics.record_requests(containers.len() as u64);
-                        for container in containers {
-                            submit_container(
-                                conn,
-                                token,
-                                frame_type,
-                                container,
-                                tier,
-                                metrics,
-                                batcher,
-                                tracer,
-                                completions,
-                            );
-                        }
-                    }
-                }
-            }
-            protocol::PING => {
-                if payload.len() == 1 {
-                    conn.replies.reserve(
-                        Some(protocol::frame_bytes(protocol::PONG, &[protocol::PROTOCOL_VERSION])),
-                        ReplyMeta::inline(),
-                    );
-                } else {
-                    let message = format!("ping payload must be 1 byte, got {}", payload.len());
-                    metrics.record_error(ErrorCode::Protocol);
-                    conn.replies.reserve(
-                        Some(error_frame(ErrorCode::Protocol, message)),
-                        ReplyMeta::inline(),
-                    );
-                }
-            }
-            protocol::STATS => {
-                if payload.is_empty() {
-                    conn.replies.reserve(
-                        Some(protocol::frame_bytes(
-                            protocol::STATS_REPLY,
-                            &metrics.snapshot().to_payload(),
-                        )),
-                        ReplyMeta::inline(),
-                    );
-                } else {
-                    let message = format!("stats payload must be empty, got {}", payload.len());
-                    metrics.record_error(ErrorCode::Protocol);
-                    conn.replies.reserve(
-                        Some(error_frame(ErrorCode::Protocol, message)),
-                        ReplyMeta::inline(),
-                    );
-                }
-            }
-            protocol::TRACE => {
-                if payload.is_empty() {
-                    // Tracing disabled still answers with a valid empty
-                    // report so inspectors degrade instead of erroring.
-                    let report = tracer.map(Tracer::drain).unwrap_or_default();
-                    conn.replies.reserve(
-                        Some(protocol::frame_bytes(protocol::TRACE_REPLY, &report.to_payload())),
-                        ReplyMeta::inline(),
-                    );
-                } else {
-                    let message = format!("trace payload must be empty, got {}", payload.len());
-                    metrics.record_error(ErrorCode::Protocol);
-                    conn.replies.reserve(
-                        Some(error_frame(ErrorCode::Protocol, message)),
-                        ReplyMeta::inline(),
-                    );
-                }
-            }
-            other => {
-                // The peer speaks something else: answer once and close.
-                metrics.record_error(ErrorCode::UnknownFrame);
-                conn.replies.reserve(
-                    Some(error_frame(
-                        ErrorCode::UnknownFrame,
-                        format!("unknown frame type 0x{other:02x}"),
-                    )),
-                    ReplyMeta::inline(),
-                );
+            Action::ReplyThenClose(frame) => {
+                conn.replies.reserve(Some(frame), ReplyMeta::inline());
                 conn.read_closed = true;
                 conn.close_when_flushed = true;
+            }
+            Action::Decode(members) => {
+                for member in members {
+                    submit_member(conn, token, member, received, shared);
+                }
             }
         }
     }
 
-    /// Parses one container and parks it in the gateway, reserving its
-    /// ordered reply slot. Parse failures answer immediately with the
-    /// container-level typed error; a refused submission (full queue or
-    /// shutdown) sheds with `BUSY` — the loop never decodes inline.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_container(
+    /// Parks one decode member in the gateway, reserving its ordered reply
+    /// slot. A member that did not parse already carries its typed error
+    /// frame; a refused submission (full queue or shutdown) sheds with
+    /// `BUSY` — the loop never decodes inline.
+    fn submit_member(
         conn: &mut Connection,
         token: u64,
-        frame_type: u8,
-        container: &[u8],
-        tier: Option<EngineTier>,
-        metrics: &Arc<ServerMetrics>,
-        batcher: &Batcher,
-        tracer: Option<&Tracer>,
-        completions: &Arc<Completions>,
+        member: Member,
+        received: Instant,
+        shared: &Shared<'_>,
     ) {
-        let received = Instant::now();
-        let encoded = match EaszEncoded::from_bytes(container) {
-            Ok(encoded) => encoded,
-            Err(e) => {
-                metrics.record_decode(false);
-                let err = WireError::from_easz(&e);
-                metrics.record_error(err.code);
-                conn.replies.reserve(Some(error_frame(err.code, err.message)), ReplyMeta::inline());
+        let Member { mut span, request } = member;
+        let (encoded, engine) = match request {
+            Ok(parsed) => parsed,
+            Err(frame) => {
+                if let Some(span) = &mut span {
+                    span.stamp(TraceStage::ReplyQueued);
+                }
+                conn.replies.reserve(Some(frame), ReplyMeta::for_decode(received, span));
                 return;
             }
         };
-        let span = tracer.map(|tracer| {
-            let mut span = tracer.begin(frame_type, token);
-            span.stamp(TraceStage::Admitted);
-            span
-        });
-        let engine = tier.map_or_else(|| encoded.preferred_engine(), EngineTier::engine);
         let seq = conn.replies.reserve(None, ReplyMeta::for_decode(received, None));
-        let reply_completions = Arc::clone(completions);
-        let reply_metrics = Arc::clone(metrics);
+        let completions = Arc::clone(&shared.completions);
+        let metrics = Arc::clone(shared.metrics);
         let reply = Box::new(
             move |result: Result<easz_image::ImageF32, easz_core::EaszError>,
                   span: Option<SpanCtx>| {
                 // Serialize on the worker thread: `to_u8` + frame assembly
                 // are per-reply costs the event loop must not pay.
                 let ok = result.is_ok();
-                let frame = match result {
-                    Ok(image) => {
-                        reply_metrics.record_decode(true);
-                        protocol::frame_bytes(
-                            protocol::IMAGE,
-                            &protocol::encode_image(&image.to_u8()),
-                        )
-                    }
-                    Err(e) => {
-                        reply_metrics.record_decode(false);
-                        let err = WireError::from_easz(&e);
-                        reply_metrics.record_error(err.code);
-                        protocol::frame_bytes(protocol::ERROR, &err.to_payload())
-                    }
-                };
-                reply_completions.post(token, seq, frame, span, ok);
+                completions.post(token, seq, reply_frame(&metrics, result), span, ok);
             },
         );
-        if let Err((_, span, _)) = batcher.submit(encoded, engine, token, span, reply) {
+        if let Err((_, span, _)) = shared.batcher.submit(encoded, engine, token, span, reply) {
             // Load shed: the queue is saturated and the loop cannot decode
             // inline without stalling every other connection. The refused
             // span still rides the reply slot so shed requests trace too.
-            metrics.record_request_shed();
-            metrics.record_error(ErrorCode::Busy);
+            shared.metrics.record_request_shed();
+            let message = "decode queue is saturated, retry later".into();
             conn.replies.fill(
                 seq,
-                error_frame(ErrorCode::Busy, "decode queue is saturated, retry later".into()),
+                error_frame(shared.metrics, ErrorCode::Busy, message),
                 span,
                 false,
             );
@@ -775,10 +590,7 @@ mod linux {
     fn pump(
         conns: &mut HashMap<u64, Connection>,
         token: u64,
-        epoll: &Epoll,
-        reactor: &ReactorConfig,
-        metrics: &Arc<ServerMetrics>,
-        tracer: Option<&Tracer>,
+        shared: &Shared<'_>,
         now: Instant,
     ) -> bool {
         let Some(conn) = conns.get_mut(&token) else { return true };
@@ -807,17 +619,12 @@ mod linux {
                 }
             }
         }
-        // Account the replies whose bytes just reached the out-buffer /
-        // socket: end-to-end service time for decode replies, and the
-        // final two span stamps. A connection that died mid-write still
-        // closes its spans — the decode outcome is what `ok` records.
+        // Close the telemetry of the decode replies whose bytes just
+        // reached the out-buffer / socket. A connection that died mid-write
+        // still closes its spans — the decode outcome is what `ok` records.
         for meta in released {
             if meta.decode {
-                metrics.record_service(meta.received.elapsed().as_micros() as u64);
-            }
-            if let (Some(tracer), Some(mut span)) = (tracer, meta.span) {
-                span.stamp(TraceStage::ReplyWritten);
-                tracer.finish(span, meta.ok);
+                shared.dispatch.finish(meta.received, meta.span, meta.ok);
             }
         }
         if !alive {
@@ -834,13 +641,15 @@ mod linux {
             }
         }
         let mut want = 0;
-        if !conn.read_closed && !conn.paused(reactor) {
+        if !conn.read_closed && !conn.paused(shared.reactor) {
             want |= EPOLLIN;
         }
         if !conn.out.is_empty() {
             want |= EPOLLOUT;
         }
-        if want != conn.interest && epoll.modify(conn.stream.as_raw_fd(), want, token).is_err() {
+        if want != conn.interest
+            && shared.epoll.modify(conn.stream.as_raw_fd(), want, token).is_err()
+        {
             return false;
         }
         conn.interest = want;
@@ -848,15 +657,10 @@ mod linux {
     }
 
     /// Deregisters and drops one connection, updating the gauge.
-    fn close_conn(
-        epoll: &Epoll,
-        conns: &mut HashMap<u64, Connection>,
-        token: u64,
-        metrics: &Arc<ServerMetrics>,
-    ) {
+    fn close_conn(shared: &Shared<'_>, conns: &mut HashMap<u64, Connection>, token: u64) {
         if let Some(conn) = conns.remove(&token) {
-            let _ = epoll.delete(conn.stream.as_raw_fd());
-            metrics.record_connection_close();
+            let _ = shared.epoll.delete(conn.stream.as_raw_fd());
+            shared.metrics.record_connection_close();
         }
     }
 }

@@ -2,10 +2,10 @@
 //! handler thread, all sharing one [`EaszDecoder`] (and therefore one
 //! model zoo) behind the framing protocol of [`crate::protocol`].
 
-use crate::batcher::{panic_message, Batcher, GatewayConfig, WorkerExit};
-use crate::fault;
-use crate::metrics::{ServerMetrics, ServerStats};
-use crate::protocol::{self, EngineTier, ErrorCode, FrameReadError, WireError};
+use crate::batcher::{decode_window, Batcher, GatewayConfig, WorkerExit};
+use crate::dispatch::{reply_frame, Action, Dispatch, Member, Members};
+use crate::metrics::ServerMetrics;
+use crate::protocol::{self, FrameReadError};
 use crate::reactor::{self, ReactorConfig};
 use crate::trace::{SpanCtx, TraceConfig, TraceStage, Tracer};
 use easz_codecs::CodecRegistry;
@@ -14,6 +14,7 @@ use easz_image::ImageF32;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -54,7 +55,8 @@ impl Connections {
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Largest inbound frame payload accepted; a frame announcing more is
-    /// answered with [`ErrorCode::Oversize`] and the connection is closed.
+    /// answered with [`ErrorCode::Oversize`](crate::ErrorCode::Oversize) and the
+    /// connection is closed.
     pub max_frame_len: usize,
     /// Largest number of containers accepted in one `DECODE_BATCH` frame.
     pub max_batch: usize,
@@ -217,9 +219,9 @@ impl EaszServer {
     /// span stamping its pipeline milestones, every `sample_every`-th span
     /// (plus every request slower than `slow_threshold_us`, always) is
     /// kept in a fixed-size ring, and decode-stage hooks are installed on
-    /// the shared decoder. Drain the spans with [`EaszClient::trace`]
-    /// (crate::EaszClient::trace) or the `easz-top` inspector. Replies
-    /// stay byte-identical with tracing on or off.
+    /// the shared decoder. Drain the spans with
+    /// [`EaszClient::trace`](crate::EaszClient::trace) or the `easz-top`
+    /// inspector. Replies stay byte-identical with tracing on or off.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.config.trace = Some(trace);
         self
@@ -292,7 +294,8 @@ impl EaszServer {
             let sink = tracer.clone();
             decoder.set_stage_sink(Arc::new(move |stage, us| sink.record_decode_stage(stage, us)));
         }
-        let tracer = tracer.as_deref();
+        let dispatch =
+            Dispatch { max_batch: config.max_batch, metrics: &metrics, tracer: tracer.as_deref() };
         let decoder = decoder;
         // The reactor's event loop must never block on a forward, so it
         // always decodes through a gateway — a default one (with adaptive
@@ -332,7 +335,7 @@ impl EaszServer {
                     reactor_config,
                     &metrics,
                     batcher.as_ref().expect("the reactor always runs with a gateway"),
-                    tracer,
+                    dispatch,
                 )
             } else {
                 loop {
@@ -350,9 +353,8 @@ impl EaszServer {
                     let ctx = ConnCtx {
                         decoder: &decoder,
                         config: &config,
-                        metrics: &metrics,
+                        dispatch,
                         batcher: batcher.as_ref(),
-                        tracer,
                         source: 0,
                     };
                     scope.spawn(move || {
@@ -361,7 +363,7 @@ impl EaszServer {
                         // would pin shutdown forever — refuse it instead of
                         // serving it.
                         let Some(id) = connections.register(&stream) else {
-                            ctx.metrics.record_connection_refused();
+                            ctx.dispatch.metrics.record_connection_refused();
                             return;
                         };
                         // The registry id doubles as the gateway fairness
@@ -372,9 +374,9 @@ impl EaszServer {
                         // registry, and this handler must not start a blocking
                         // read it would never be woken from.
                         if !shutdown.load(Ordering::Acquire) {
-                            ctx.metrics.record_connection_open();
+                            ctx.dispatch.metrics.record_connection_open();
                             let _ = handle_connection(stream, &ctx);
-                            ctx.metrics.record_connection_close();
+                            ctx.dispatch.metrics.record_connection_close();
                         }
                         connections.deregister(id);
                     });
@@ -398,10 +400,9 @@ impl EaszServer {
 struct ConnCtx<'a> {
     decoder: &'a EaszDecoder<'a>,
     config: &'a ServerConfig,
-    metrics: &'a ServerMetrics,
+    /// The protocol core (and through it the metrics and the tracer).
+    dispatch: Dispatch<'a>,
     batcher: Option<&'a Batcher>,
-    /// The request tracer, when tracing is enabled.
-    tracer: Option<&'a Tracer>,
     /// This connection's gateway fairness source id.
     source: u64,
 }
@@ -411,113 +412,25 @@ struct ConnCtx<'a> {
 type GatewayReply = (Result<ImageF32, EaszError>, Option<SpanCtx>);
 
 impl ConnCtx<'_> {
-    /// Opens a trace span for a freshly read request frame (`None` when
-    /// tracing is off), already stamped `Admitted` — the threaded front
-    /// end has no admission gate, so assembly is admission.
-    fn begin_span(&self, frame_type: u8) -> Option<SpanCtx> {
-        self.tracer.map(|t| {
-            let mut span = t.begin(frame_type, self.source);
-            span.stamp(TraceStage::Admitted);
-            span
-        })
-    }
-
     /// Parks `encoded` in the gateway with a channel-backed reply, so this
-    /// handler thread can block on the receiver.
+    /// handler thread can block on the receiver. `Err` hands the container
+    /// back — no gateway, a full queue, or shutdown — for decoding here.
+    // The large Err variant is the point, as in `Batcher::submit`.
+    #[allow(clippy::result_large_err)]
     fn submit_gateway(
         &self,
-        batcher: &Batcher,
         encoded: EaszEncoded,
         engine: DecodeEngine,
         span: Option<SpanCtx>,
-    ) -> Result<std::sync::mpsc::Receiver<GatewayReply>, Box<(EaszEncoded, Option<SpanCtx>)>> {
+    ) -> Result<Receiver<GatewayReply>, (EaszEncoded, Option<SpanCtx>)> {
+        let Some(batcher) = self.batcher else { return Err((encoded, span)) };
         let (tx, rx) = std::sync::mpsc::channel();
-        batcher
-            .submit(
-                encoded,
-                engine,
-                self.source,
-                span,
-                Box::new(move |result, span| {
-                    let _ = tx.send((result, span));
-                }),
-            )
-            .map(|()| rx)
-            .map_err(|(back, span, _)| Box::new((back, span)))
-    }
-
-    /// Decodes one parsed container on `engine` — through the gateway when
-    /// enabled and willing, inline otherwise. `Err(())` means the gateway
-    /// accepted the job but shut down before answering; the connection
-    /// should close.
-    fn decode(
-        &self,
-        encoded: EaszEncoded,
-        engine: DecodeEngine,
-        span: Option<SpanCtx>,
-    ) -> Result<GatewayReply, ()> {
-        if let Some(batcher) = self.batcher {
-            match self.submit_gateway(batcher, encoded, engine, span) {
-                Ok(rx) => return rx.recv().map_err(|_| ()),
-                Err(refused) => {
-                    // Full queue or shutdown: degrade to inline decode.
-                    let (back, span) = *refused;
-                    self.metrics.record_inline_decode();
-                    return Ok(self.decode_inline(&back, engine, span));
-                }
-            }
-        }
-        self.metrics.record_inline_decode();
-        Ok(self.decode_inline(&encoded, engine, span))
-    }
-
-    /// Inline decode on this handler thread, with the decode milestones
-    /// stamped and the decode-time histogram fed.
-    fn decode_inline(
-        &self,
-        encoded: &EaszEncoded,
-        engine: DecodeEngine,
-        mut span: Option<SpanCtx>,
-    ) -> GatewayReply {
-        if let Some(span) = &mut span {
-            span.stamp(TraceStage::DecodeStart);
-        }
-        let started = Instant::now();
-        let result = decode_isolated(self.decoder, self.metrics, encoded, engine);
-        self.metrics.record_decode_sample(started.elapsed().as_micros() as u64);
-        if let Some(span) = &mut span {
-            span.stamp(TraceStage::DecodeEnd);
-        }
-        (result, span)
-    }
-}
-
-/// Runs one inline decode under the same isolation boundary as the gateway
-/// workers: the fault hooks (injected stalls and panics) apply, and a
-/// panicking container fails *its own* request with a typed
-/// [`EaszError::Internal`] instead of unwinding through the handler thread
-/// and killing the connection.
-fn decode_isolated(
-    decoder: &EaszDecoder<'_>,
-    metrics: &ServerMetrics,
-    encoded: &EaszEncoded,
-    engine: DecodeEngine,
-) -> Result<ImageF32, EaszError> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    if let Some(delay) = fault::decode_delay() {
-        std::thread::sleep(delay);
-    }
-    let injected = fault::decode_panic();
-    match catch_unwind(AssertUnwindSafe(|| {
-        if injected {
-            panic!("{}", fault::INJECTED_PANIC);
-        }
-        decoder.decode_as(encoded, engine)
-    })) {
-        Ok(result) => result,
-        Err(payload) => {
-            metrics.record_panic_caught();
-            Err(EaszError::Internal(panic_message(payload)))
+        let reply = Box::new(move |result, span| {
+            let _ = tx.send((result, span));
+        });
+        match batcher.submit(encoded, engine, self.source, span, reply) {
+            Ok(()) => Ok(rx),
+            Err((back, span, _)) => Err((back, span)),
         }
     }
 }
@@ -585,343 +498,126 @@ impl Drop for ServerHandle {
 
 /// Serves one connection until clean EOF, a timeout, or a framing-level
 /// violation. Container-level failures are answered with typed error frames
-/// and never close the connection, let alone the server.
+/// and never close the connection, let alone the server. All protocol
+/// decisions are [`Dispatch`]'s; this loop only moves the bytes.
 fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx<'_>) -> io::Result<()> {
-    let (config, metrics) = (ctx.config, ctx.metrics);
     // A zero Duration means "no timeout" here, but is InvalidInput to the
     // OS call — normalise it instead of silently dropping the connection.
-    stream.set_read_timeout(config.read_timeout.filter(|t| !t.is_zero()))?;
+    stream.set_read_timeout(ctx.config.read_timeout.filter(|t| !t.is_zero()))?;
     loop {
-        let (frame_type, payload) = match protocol::read_frame(&mut stream, config.max_frame_len) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return Ok(()), // clean EOF between frames
-            Err(FrameReadError::Oversize { announced, limit }) => {
-                let err = WireError {
-                    code: ErrorCode::Oversize,
-                    message: format!("frame announces {announced} bytes, limit is {limit}"),
-                };
-                // Unread payload bytes follow, so framing is lost: close —
-                // but drain what the peer already sent first, else the
-                // kernel turns our close into an RST that discards the
-                // error frame before the peer can read it.
-                metrics.record_error(ErrorCode::Oversize);
-                let result = protocol::write_frame(&mut stream, protocol::ERROR, &err.to_payload());
-                drain_bounded(&mut stream, announced);
-                return result;
-            }
-            Err(FrameReadError::Io(e)) => {
-                return match e.kind() {
-                    // Mid-frame disconnects and idle timeouts end the
-                    // connection without being server errors.
-                    io::ErrorKind::UnexpectedEof
-                    | io::ErrorKind::TimedOut
-                    | io::ErrorKind::WouldBlock
-                    | io::ErrorKind::ConnectionReset => Ok(()),
-                    _ => Err(e),
-                };
-            }
-        };
-        // The frame is assembled: the service-time clock (always on) and
-        // the request's trace span (tracing only) both start here.
+        let (frame_type, payload) =
+            match protocol::read_frame(&mut stream, ctx.config.max_frame_len) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return Ok(()), // clean EOF between frames
+                Err(FrameReadError::Oversize { announced, limit }) => {
+                    // Unread payload bytes follow, so framing is lost: close —
+                    // but drain what the peer already sent first, else the
+                    // kernel turns our close into an RST that discards the
+                    // error frame before the peer can read it.
+                    let frame = ctx.dispatch.oversize(announced, limit);
+                    let result = protocol::write_flushed(&mut stream, &frame);
+                    drain_bounded(&mut stream, announced);
+                    return result;
+                }
+                Err(FrameReadError::Io(e)) => {
+                    return match e.kind() {
+                        // Mid-frame disconnects and idle timeouts end the
+                        // connection without being server errors.
+                        io::ErrorKind::UnexpectedEof
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::WouldBlock
+                        | io::ErrorKind::ConnectionReset => Ok(()),
+                        _ => Err(e),
+                    };
+                }
+            };
+        // The frame is assembled: the service-time clock starts here.
         let received = Instant::now();
-        match frame_type {
-            protocol::DECODE | protocol::DECODE_TIERED => {
-                // A tiered request prefixes the container with one engine
-                // byte that overrides the container's standing preference.
-                let (tier, container) = if frame_type == protocol::DECODE_TIERED {
-                    match split_tier(&payload) {
-                        Ok(pair) => pair,
-                        Err(message) => {
-                            send_wire_error(&mut stream, ErrorCode::Protocol, message, metrics)?;
-                            continue;
-                        }
-                    }
-                } else {
-                    (None, payload.as_slice())
-                };
-                metrics.record_requests(1);
-                let (result, span) = match EaszEncoded::from_bytes(container) {
-                    Err(e) => (Err(e), ctx.begin_span(frame_type)),
-                    // A gateway recv failure means shutdown beat the reply;
-                    // the connection is closing anyway.
-                    Ok(encoded) => {
-                        let engine =
-                            tier.map_or_else(|| encoded.preferred_engine(), EngineTier::engine);
-                        match ctx.decode(encoded, engine, ctx.begin_span(frame_type)) {
-                            Ok(reply) => reply,
-                            Err(()) => return Ok(()),
-                        }
-                    }
-                };
-                write_traced_reply(&mut stream, ctx, result, span, received)?;
-            }
-            protocol::DECODE_BATCH | protocol::DECODE_BATCH_TIERED => {
-                let (tier, batch_payload) = if frame_type == protocol::DECODE_BATCH_TIERED {
-                    match split_tier(&payload) {
-                        Ok(pair) => pair,
-                        Err(message) => {
-                            send_wire_error(&mut stream, ErrorCode::Protocol, message, metrics)?;
-                            continue;
-                        }
-                    }
-                } else {
-                    (None, payload.as_slice())
-                };
-                match protocol::decode_batch_payload(batch_payload, config.max_batch) {
-                    Err(message) => {
-                        send_wire_error(&mut stream, ErrorCode::Protocol, message, metrics)?;
-                    }
-                    Ok(containers) => {
-                        metrics.record_requests(containers.len() as u64);
-                        handle_decode_batch(
-                            &mut stream,
-                            ctx,
-                            &containers,
-                            tier,
-                            frame_type,
-                            received,
-                        )?;
-                    }
+        match ctx.dispatch.dispatch(frame_type, &payload, ctx.source) {
+            Action::Reply(frame) => protocol::write_flushed(&mut stream, &frame)?,
+            Action::ReplyThenClose(frame) => return protocol::write_flushed(&mut stream, &frame),
+            Action::Decode(members) => {
+                if !serve_decode(&mut stream, ctx, members, received)? {
+                    return Ok(());
                 }
-            }
-            protocol::PING => {
-                if payload.len() == 1 {
-                    protocol::write_frame(
-                        &mut stream,
-                        protocol::PONG,
-                        &[protocol::PROTOCOL_VERSION],
-                    )?;
-                } else {
-                    let message = format!("ping payload must be 1 byte, got {}", payload.len());
-                    send_wire_error(&mut stream, ErrorCode::Protocol, message, metrics)?;
-                }
-            }
-            protocol::STATS => {
-                if payload.is_empty() {
-                    let snapshot: ServerStats = metrics.snapshot();
-                    protocol::write_frame(
-                        &mut stream,
-                        protocol::STATS_REPLY,
-                        &snapshot.to_payload(),
-                    )?;
-                } else {
-                    let message = format!("stats payload must be empty, got {}", payload.len());
-                    send_wire_error(&mut stream, ErrorCode::Protocol, message, metrics)?;
-                }
-            }
-            protocol::TRACE => {
-                if payload.is_empty() {
-                    // With tracing off the reply is a valid empty report,
-                    // so inspectors degrade instead of erroring.
-                    let report = ctx.tracer.map(Tracer::drain).unwrap_or_default();
-                    protocol::write_frame(
-                        &mut stream,
-                        protocol::TRACE_REPLY,
-                        &report.to_payload(),
-                    )?;
-                } else {
-                    let message = format!("trace payload must be empty, got {}", payload.len());
-                    send_wire_error(&mut stream, ErrorCode::Protocol, message, metrics)?;
-                }
-            }
-            other => {
-                let err = WireError {
-                    code: ErrorCode::UnknownFrame,
-                    message: format!("unknown frame type 0x{other:02x}"),
-                };
-                // The peer speaks something else: answer once and close.
-                metrics.record_error(ErrorCode::UnknownFrame);
-                return protocol::write_frame(&mut stream, protocol::ERROR, &err.to_payload());
             }
         }
     }
 }
 
-/// A batch reply slot: what the i-th container is waiting on.
-enum BatchSlot {
-    /// The container did not parse; answered with its typed error.
-    ParseError(EaszError),
-    /// Result already in hand (ungatewayed bulk decode, or inline
-    /// fallback), with the member's trace span.
-    Done(Result<ImageF32, EaszError>, Option<SpanCtx>),
+/// What the i-th member of a decode request is waiting on.
+enum Slot {
+    /// The container did not parse; its positional error frame is in hand.
+    Failed(Vec<u8>, Option<SpanCtx>),
     /// Parked in the gateway; the result arrives on this channel.
-    Pending(std::sync::mpsc::Receiver<GatewayReply>),
+    Parked(Receiver<GatewayReply>),
+    /// Decodes on this thread: the next result of the local window.
+    Local,
 }
 
-/// Splits the leading engine-tier byte off a tiered request payload
-/// (shared with the reactor's frame dispatcher).
+/// Decodes the members of one decode request and replies strictly in
+/// request order. Returns `false` when the connection should close (the
+/// gateway shut down under a parked member).
 ///
-/// # Errors
-///
-/// A `PROTOCOL`-class message for an empty payload or a reserved tier byte
-/// (the connection stays open; only the request is unhonourable).
-pub(crate) fn split_tier(payload: &[u8]) -> Result<(Option<EngineTier>, &[u8]), String> {
-    let (&tier_byte, rest) =
-        payload.split_first().ok_or("tiered request is missing its engine byte")?;
-    let tier = EngineTier::from_byte(tier_byte)
-        .ok_or_else(|| format!("unknown engine tier byte {tier_byte}"))?;
-    Ok((Some(tier), rest))
-}
-
-/// Decodes a `DECODE_BATCH`/`DECODE_BATCH_TIERED` request and replies
-/// strictly in request order. `tier`, when present, overrides every
-/// container's standing engine preference.
-///
-/// Without a gateway the parsed containers go through one bulk
-/// [`EaszDecoder::decode_batch_with`] exactly as before; with a gateway
-/// each container is parked individually, so a window can fuse them with
-/// requests from *other* connections too (though never across engine
-/// tiers).
-fn handle_decode_batch(
+/// Every parsed member is offered to the gateway individually, so a window
+/// can fuse it with requests from *other* connections too. Whatever the
+/// gateway does not take — there is none, its queue is full, it is shutting
+/// down — decodes on this thread as one [`decode_window`], so the members
+/// of an ungatewayed batch still share fused forwards and a lone `DECODE`
+/// is a window of one. The threaded front end never sheds.
+fn serve_decode(
     stream: &mut TcpStream,
     ctx: &ConnCtx<'_>,
-    containers: &[&[u8]],
-    tier: Option<EngineTier>,
-    frame_type: u8,
+    members: Members<'_>,
     received: Instant,
-) -> io::Result<()> {
-    let engine_for =
-        |encoded: &EaszEncoded| tier.map_or_else(|| encoded.preferred_engine(), EngineTier::engine);
-    // Parse every container first so decodable streams share batched
-    // forwards regardless of corrupt neighbours. Each parsed member gets
-    // its own trace span — a batch frame is one wire frame but many
-    // requests.
-    let mut slots: Vec<BatchSlot> = Vec::with_capacity(containers.len());
-    if let Some(batcher) = ctx.batcher {
-        for container in containers {
-            slots.push(match EaszEncoded::from_bytes(container) {
-                Err(e) => BatchSlot::ParseError(e),
-                Ok(encoded) => {
-                    let engine = engine_for(&encoded);
-                    let span = ctx.begin_span(frame_type);
-                    match ctx.submit_gateway(batcher, encoded, engine, span) {
-                        Ok(rx) => BatchSlot::Pending(rx),
-                        Err(refused) => {
-                            let (back, span) = *refused;
-                            ctx.metrics.record_inline_decode();
-                            let (result, span) = ctx.decode_inline(&back, engine, span);
-                            BatchSlot::Done(result, span)
-                        }
-                    }
+) -> io::Result<bool> {
+    let metrics = ctx.dispatch.metrics;
+    let mut slots = Vec::with_capacity(members.len());
+    let (mut containers, mut engines, mut spans) = (Vec::new(), Vec::new(), Vec::new());
+    for Member { span, request } in members {
+        slots.push(match request {
+            Err(frame) => Slot::Failed(frame, span),
+            Ok((encoded, engine)) => match ctx.submit_gateway(encoded, engine, span) {
+                Ok(rx) => Slot::Parked(rx),
+                Err((back, span)) => {
+                    metrics.record_inline_decode();
+                    containers.push(back);
+                    engines.push(engine);
+                    spans.push(span);
+                    Slot::Local
                 }
-            });
-        }
-    } else {
-        let mut statuses: Vec<Result<(), EaszError>> = Vec::with_capacity(containers.len());
-        let mut good: Vec<EaszEncoded> = Vec::with_capacity(containers.len());
-        let mut engines: Vec<DecodeEngine> = Vec::with_capacity(containers.len());
-        for container in containers {
-            match EaszEncoded::from_bytes(container) {
-                Ok(encoded) => {
-                    engines.push(engine_for(&encoded));
-                    good.push(encoded);
-                    statuses.push(Ok(()));
-                }
-                Err(e) => statuses.push(Err(e)),
-            }
-        }
-        let mut spans: Vec<Option<SpanCtx>> =
-            good.iter().map(|_| ctx.begin_span(frame_type)).collect();
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        if let Some(delay) = fault::decode_delay() {
-            std::thread::sleep(delay);
-        }
-        // Fault flags are drawn per container *before* the fused attempt so
-        // the serial fallback re-fires the same panics: only the culprit
-        // containers fail, their batchmates decode byte-identically.
-        let injected: Vec<bool> = good.iter().map(|_| fault::decode_panic()).collect();
-        for span in spans.iter_mut().flatten() {
-            span.stamp(TraceStage::DecodeStart);
-        }
-        let started = std::time::Instant::now();
-        let fused_attempt = catch_unwind(AssertUnwindSafe(|| {
-            if injected.contains(&true) {
-                panic!("{}", fault::INJECTED_PANIC);
-            }
-            ctx.decoder.decode_batch_with_stats(&good, &engines)
-        }));
-        let fused_us = started.elapsed().as_micros() as u64;
-        for span in spans.iter_mut().flatten() {
-            span.stamp(TraceStage::DecodeEnd);
-        }
-        for _ in 0..good.len() {
-            ctx.metrics.record_decode_sample(fused_us);
-        }
-        let decoded: Vec<Result<ImageF32, EaszError>> = match fused_attempt {
-            Ok((decoded, groups)) => {
-                let decode_us = started.elapsed().as_micros() as u64;
-                // One histogram entry per fused forward group, with the wall
-                // time apportioned by group width (the remainder lands on the
-                // last group so the totals stay exact) — same accounting as
-                // the gateway's decode windows.
-                let fused: usize = groups.iter().map(|&(_, width)| width).sum();
-                let mut spent = 0u64;
-                for (gi, &(_, width)) in groups.iter().enumerate() {
-                    let us = if gi + 1 == groups.len() {
-                        decode_us - spent
-                    } else {
-                        decode_us * width as u64 / fused as u64
-                    };
-                    spent += us;
-                    ctx.metrics.record_batch(width, us);
-                }
-                decoded
-            }
-            Err(_) => {
-                // The fused forward panicked: isolate per container so only
-                // the culprit fails with a typed INTERNAL.
-                ctx.metrics.record_panic_caught();
-                good.iter()
-                    .zip(&engines)
-                    .enumerate()
-                    .map(|(i, (encoded, &engine))| {
-                        let started = std::time::Instant::now();
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            if injected[i] {
-                                panic!("{}", fault::INJECTED_PANIC);
-                            }
-                            ctx.decoder.decode_as(encoded, engine)
-                        })) {
-                            Ok(result) => {
-                                if result.is_ok() {
-                                    ctx.metrics
-                                        .record_batch(1, started.elapsed().as_micros() as u64);
-                                }
-                                result
-                            }
-                            Err(payload) => {
-                                ctx.metrics.record_panic_caught();
-                                Err(EaszError::Internal(panic_message(payload)))
-                            }
-                        }
-                    })
-                    .collect()
-            }
-        };
-        let mut decoded = decoded.into_iter().zip(spans);
-        for status in statuses {
-            slots.push(match status {
-                Ok(()) => {
-                    let (result, span) = decoded.next().expect("one decode per parsed container");
-                    BatchSlot::Done(result, span)
-                }
-                Err(e) => BatchSlot::ParseError(e),
-            });
-        }
+            },
+        });
     }
+    let local = if containers.is_empty() {
+        Vec::new()
+    } else {
+        decode_window(ctx.decoder, metrics, &containers, &engines, &mut spans).0
+    };
+    let mut local = local.into_iter().zip(spans);
     for slot in slots {
-        let (result, span) = match slot {
-            BatchSlot::ParseError(e) => (Err(e), None),
-            BatchSlot::Done(result, span) => (result, span),
-            BatchSlot::Pending(rx) => match rx.recv() {
-                Ok(reply) => reply,
+        let (result, mut span) = match slot {
+            Slot::Failed(frame, span) => (Err(frame), span),
+            Slot::Local => {
+                let (result, span) = local.next().expect("one result per local container");
+                (Ok(result), span)
+            }
+            Slot::Parked(rx) => match rx.recv() {
+                Ok((result, span)) => (Ok(result), span),
                 // Gateway shutdown dropped the job; close the connection.
-                Err(_) => return Ok(()),
+                Err(_) => return Ok(false),
             },
         };
-        write_traced_reply(stream, ctx, result, span, received)?;
+        if let Some(span) = &mut span {
+            span.stamp(TraceStage::ReplyQueued);
+        }
+        let ok = matches!(result, Ok(Ok(_)));
+        let frame = result.map_or_else(|frame| frame, |result| reply_frame(metrics, result));
+        let written = protocol::write_flushed(stream, &frame);
+        ctx.dispatch.finish(received, span, ok && written.is_ok());
+        written?;
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Reads and discards up to `limit` pending bytes so closing the socket
@@ -930,7 +626,6 @@ fn handle_decode_batch(
 /// the reset it asked for.
 fn drain_bounded(stream: &mut TcpStream, limit: usize) {
     use std::io::Read;
-    use std::time::{Duration, Instant};
     if stream.set_read_timeout(Some(Duration::from_millis(250))).is_err() {
         return;
     }
@@ -944,58 +639,4 @@ fn drain_bounded(stream: &mut TcpStream, limit: usize) {
             Ok(n) => remaining -= n,
         }
     }
-}
-
-/// Writes a decode reply with the observability bookkeeping of the
-/// threaded path: the always-on service-time histogram sample (assembled
-/// frame → reply written) and, with tracing on, the span's reply
-/// milestones and its hand-off to the tracer.
-fn write_traced_reply(
-    stream: &mut TcpStream,
-    ctx: &ConnCtx<'_>,
-    result: Result<ImageF32, EaszError>,
-    mut span: Option<SpanCtx>,
-    received: Instant,
-) -> io::Result<()> {
-    if let Some(span) = &mut span {
-        span.stamp(TraceStage::ReplyQueued);
-    }
-    let ok = result.is_ok();
-    let written = send_decode_result(stream, result, ctx.metrics);
-    ctx.metrics.record_service(received.elapsed().as_micros() as u64);
-    if let (Some(tracer), Some(mut span)) = (ctx.tracer, span) {
-        span.stamp(TraceStage::ReplyWritten);
-        tracer.finish(span, ok && written.is_ok());
-    }
-    written
-}
-
-fn send_decode_result(
-    stream: &mut TcpStream,
-    result: Result<ImageF32, EaszError>,
-    metrics: &ServerMetrics,
-) -> io::Result<()> {
-    metrics.record_decode(result.is_ok());
-    match result {
-        Ok(image) => {
-            protocol::write_frame(stream, protocol::IMAGE, &protocol::encode_image(&image.to_u8()))
-        }
-        Err(e) => {
-            let err = WireError::from_easz(&e);
-            metrics.record_error(err.code);
-            protocol::write_frame(stream, protocol::ERROR, &err.to_payload())
-        }
-    }
-}
-
-/// Writes one typed error frame, counting it in the metrics registry.
-fn send_wire_error(
-    stream: &mut TcpStream,
-    code: ErrorCode,
-    message: String,
-    metrics: &ServerMetrics,
-) -> io::Result<()> {
-    metrics.record_error(code);
-    let err = WireError { code, message };
-    protocol::write_frame(stream, protocol::ERROR, &err.to_payload())
 }

@@ -4,7 +4,7 @@
 //! [`Bencher::iter`] / [`Bencher::iter_batched`], [`BatchSize`], and the
 //! [`criterion_group!`] / [`criterion_main!`] macros.
 //!
-//! Unlike the serde shim this one is *functional*: it runs a real wall-clock
+//! The shim is *functional*, not a marker: it runs a real wall-clock
 //! measurement loop (warm-up, then timed samples) and prints
 //! `name  time: <mean> ns/iter (<samples> samples)` per benchmark, so
 //! `cargo bench` produces usable relative numbers offline. It performs no

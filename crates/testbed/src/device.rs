@@ -6,10 +6,8 @@
 //! constants calibrated so the paper's measured magnitudes are reproduced
 //! (see `profiles.rs` for the calibration notes).
 
-use serde::{Deserialize, Serialize};
-
 /// An execution device (edge board or server).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceModel {
     /// Display name.
     pub name: String,

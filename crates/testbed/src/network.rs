@@ -1,10 +1,8 @@
 //! Network link model (the paper's Wi-Fi router + TCP path).
 
-use serde::{Deserialize, Serialize};
-
 /// A point-to-point link with effective bandwidth, round-trip latency and a
 /// protocol overhead factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Effective application-level bandwidth, bits/s.
     pub bandwidth_bps: f64,

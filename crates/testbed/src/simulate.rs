@@ -4,10 +4,9 @@
 use crate::device::DeviceModel;
 use crate::network::NetworkModel;
 use crate::workload::WorkloadProfile;
-use serde::{Deserialize, Serialize};
 
 /// One edge-server deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Testbed {
     /// The sending device (camera side).
     pub edge: DeviceModel,
@@ -29,7 +28,7 @@ impl Testbed {
 }
 
 /// Latency breakdown of one image through one scheme, seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyBreakdown {
     /// Edge-side pre-transform (Easz's erase-and-squeeze; zero otherwise).
     pub erase_squeeze_s: f64,
@@ -55,7 +54,7 @@ impl LatencyBreakdown {
 }
 
 /// Power draw during the edge-side encode phase, watts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerEstimate {
     /// CPU rail.
     pub cpu_w: f64,

@@ -10,10 +10,9 @@
 
 use easz_codecs::NeuralTier;
 use easz_core::ReconstructorConfig;
-use serde::{Deserialize, Serialize};
 
 /// Cost description of one compression scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Display name (matches the codec's `name()`).
     pub name: String,

@@ -1,9 +1,10 @@
 //! Chaos soak for the serving stack: seeded fault schedules (torn writes,
 //! EINTR storms, aborted accepts, short reads, stalled / panicking decodes,
-//! refused gateway submissions) against both front ends, asserting the
-//! failure-model contract end to end — no hangs, one typed reply per
-//! request, exact metrics reconciliation, and every successful reply
-//! byte-identical to a fault-free local decode.
+//! refused gateway submissions) against both front ends (the threaded one
+//! with and without a gateway), asserting the failure-model contract end to
+//! end — no hangs, one typed reply per request, exact metrics
+//! reconciliation, and every successful reply byte-identical to a
+//! fault-free local decode.
 //!
 //! Faults come from `easz_server::fault` (compiled in via the test-only
 //! `fault-injection` feature): every schedule is a pure function of its
@@ -53,9 +54,9 @@ fn local_references(model: &Arc<Reconstructor>, wires: &[Vec<u8>]) -> Vec<ImageU
     wires.iter().map(|w| local.decode_bytes(w).expect("local decode").to_u8()).collect()
 }
 
-/// The serving topologies under chaos. `ThreadedInline` (no gateway)
-/// exists to drive the handler-thread isolation boundary rather than the
-/// worker-pool one.
+/// The serving topologies under chaos. All three decode through the one
+/// shared routine; `ThreadedInline` (no gateway) runs it on the handler
+/// thread — every request, batches included — rather than on a pool worker.
 #[derive(Clone, Copy, Debug)]
 enum Front {
     ThreadedGateway,
@@ -235,7 +236,7 @@ fn chaos_soak_holds_the_failure_model_on_both_front_ends() {
     let mut total = FaultCounters::default();
     let mut successes = 0usize;
     for seed in 0..8u64 {
-        for front in [Front::Reactor, Front::ThreadedGateway] {
+        for front in [Front::Reactor, Front::ThreadedGateway, Front::ThreadedInline] {
             let (counters, ok) = run_schedule(seed, front, &model, &wires, &references);
             successes += ok;
             total = FaultCounters {
@@ -454,7 +455,7 @@ fn mutated_container_replay_stays_typed_and_the_connection_survives() {
     let model = model();
     let wires = fleet_containers(&[51, 52, 53]);
     let references = local_references(&model, &wires);
-    for front in [Front::ThreadedGateway, Front::Reactor] {
+    for front in [Front::ThreadedGateway, Front::Reactor, Front::ThreadedInline] {
         // A neutral plan injects nothing but holds the fault serialization
         // lock, so a concurrently running chaos test cannot leak injected
         // faults into this sweep's accounting.

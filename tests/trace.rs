@@ -163,6 +163,88 @@ fn reactor_front_end_traces_end_to_end() {
     handle.shutdown().expect("reactor shutdown");
 }
 
+/// Sends `frames` down one raw connection, reads `replies` reply frames,
+/// then drains the tracer and the stats over the same connection — so
+/// every reply's telemetry has closed before it is read.
+fn telemetry_after(
+    addr: std::net::SocketAddr,
+    frames: &[(u8, Vec<u8>)],
+    replies: usize,
+) -> (TraceReport, u64) {
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    for (ty, payload) in frames {
+        protocol::write_frame(&mut sock, *ty, payload).expect("write request");
+    }
+    for i in 0..replies {
+        let (ty, _) = protocol::read_frame(&mut sock, 1 << 20)
+            .expect("read reply")
+            .unwrap_or_else(|| panic!("connection closed before reply {i}"));
+        assert!(ty == protocol::IMAGE || ty == protocol::ERROR, "reply {i} has type 0x{ty:02x}");
+    }
+    let mut client = EaszClient::from_stream(sock);
+    let trace = client.trace().expect("trace");
+    let stats = client.stats().expect("stats");
+    (trace, stats.service_histo.iter().sum())
+}
+
+#[test]
+fn every_front_end_keeps_the_same_books_for_good_garbage_and_bad_tier_requests() {
+    let wires = fleet_containers(&[7, 8]);
+    let garbage = b"EASZ but not really a container, just bytes".to_vec();
+    let bad_tier = [&[9u8][..], &wires[0]].concat();
+    let batch = protocol::encode_batch(&[&wires[0], &garbage, &wires[1]]);
+    let bad_tier_batch = [&[9u8][..], &batch].concat();
+    // Singly and batched: six containers (four good, two garbage) and two
+    // frames whose reserved tier byte makes the envelope unhonourable.
+    let frames = [
+        (protocol::DECODE, wires[0].clone()),
+        (protocol::DECODE, garbage.clone()),
+        (protocol::DECODE_TIERED, bad_tier),
+        (protocol::DECODE, wires[1].clone()),
+        (protocol::DECODE_BATCH, batch),
+        (protocol::DECODE_BATCH_TIERED, bad_tier_batch),
+    ];
+    let (containers, replies) = (6, 8);
+
+    let trace_all =
+        TraceConfig { capacity: 64, sample_every: 1, slow_threshold_us: 0, slow_capacity: 0 };
+    let server = || EaszServer::new(model()).with_trace(trace_all);
+    let mut fronts = vec![
+        ("threaded inline", server()),
+        ("threaded gateway", server().with_gateway(traced_gateway())),
+    ];
+    if cfg!(target_os = "linux") {
+        let reactor = easz::server::ReactorConfig::default();
+        fronts.push(("reactor", server().with_gateway(traced_gateway()).with_reactor(reactor)));
+    }
+    for (front_end, server) in fronts {
+        let handle = server.spawn("127.0.0.1:0").expect("spawn server");
+        let (trace, service_samples) = telemetry_after(handle.addr(), &frames, replies);
+        // One span and one service sample per decode-family container,
+        // parsed or not; none for a frame that never yielded containers.
+        assert_eq!(trace.recent.len(), containers, "{front_end}: span count");
+        assert_eq!(service_samples, containers as u64, "{front_end}: service samples");
+        let failed: Vec<_> = trace.recent.iter().filter(|s| !s.ok).collect();
+        assert_eq!(failed.len(), 2, "{front_end}: the two garbage containers");
+        for span in failed {
+            for stage in TraceStage::ALL {
+                let reached = matches!(
+                    stage,
+                    TraceStage::Admitted | TraceStage::ReplyQueued | TraceStage::ReplyWritten
+                );
+                assert_eq!(
+                    span.stage_us(stage).is_some(),
+                    reached,
+                    "{front_end}: parse-failed span #{} at {}",
+                    span.id,
+                    stage.name()
+                );
+            }
+        }
+        handle.shutdown().expect("shutdown");
+    }
+}
+
 #[test]
 fn tracing_disabled_server_answers_trace_with_empty_report() {
     // No `with_trace`: spans don't exist, but the frame still answers with
