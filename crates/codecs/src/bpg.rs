@@ -6,7 +6,7 @@
 //! planar, chosen by SSE), 16×16 residual DCT for luma (8×8 for subsampled
 //! chroma), uniform quantisation, adaptive binary range coding with
 //! per-coefficient-class contexts, and an in-loop deblocking filter. Not
-//! bit-compatible with BPG — see DESIGN.md §1.
+//! bit-compatible with BPG — see "Reproduction scope" in the README.
 
 use crate::codec::{CodecError, ImageCodec, Quality};
 use crate::registry::CodecId;

@@ -15,8 +15,12 @@
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    current: u8,
-    filled: u8,
+    /// Pending bits in the low `filled` positions, oldest highest; whatever
+    /// sits above them has already been flushed and is never read again.
+    acc: u64,
+    /// Always below 32 between calls, so one more write of up to 32 bits
+    /// fits the accumulator.
+    filled: u32,
 }
 
 impl BitWriter {
@@ -30,17 +34,15 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `count > 32`.
+    #[inline]
     pub fn write_bits(&mut self, value: u32, count: u8) {
         assert!(count <= 32, "cannot write more than 32 bits at once");
-        for i in (0..count).rev() {
-            let bit = ((value >> i) & 1) as u8;
-            self.current = (self.current << 1) | bit;
-            self.filled += 1;
-            if self.filled == 8 {
-                self.bytes.push(self.current);
-                self.current = 0;
-                self.filled = 0;
-            }
+        let count = u32::from(count);
+        self.acc = (self.acc << count) | (u64::from(value) & ((1u64 << count) - 1));
+        self.filled += count;
+        if self.filled >= 32 {
+            self.filled -= 32;
+            self.bytes.extend_from_slice(&((self.acc >> self.filled) as u32).to_be_bytes());
         }
     }
 
@@ -51,10 +53,8 @@ impl BitWriter {
 
     /// Pads with zero bits to a byte boundary and returns the buffer.
     pub fn finish(mut self) -> Vec<u8> {
-        if self.filled > 0 {
-            self.current <<= 8 - self.filled;
-            self.bytes.push(self.current);
-        }
+        let tail = ((self.acc << (32 - self.filled)) as u32).to_be_bytes();
+        self.bytes.extend_from_slice(&tail[..self.filled.div_ceil(8) as usize]);
         self.bytes
     }
 }
@@ -135,6 +135,74 @@ mod tests {
         assert_eq!(r.read_bits(8), Some(0xAA));
         assert_eq!(r.read_bit(), None);
         assert_eq!(r.read_bits(4), None);
+    }
+
+    /// The bit-serial writer [`BitWriter`] replaced, kept as the reference
+    /// the word-wide accumulator is compared with.
+    #[derive(Default)]
+    struct SerialWriter {
+        bytes: Vec<u8>,
+        current: u8,
+        filled: u8,
+    }
+
+    impl SerialWriter {
+        fn write_bits(&mut self, value: u32, count: u8) {
+            for i in (0..count).rev() {
+                self.current = (self.current << 1) | ((value >> i) & 1) as u8;
+                self.filled += 1;
+                if self.filled == 8 {
+                    self.bytes.push(self.current);
+                    self.current = 0;
+                    self.filled = 0;
+                }
+            }
+        }
+
+        fn bit_len(&self) -> usize {
+            self.bytes.len() * 8 + self.filled as usize
+        }
+
+        fn finish(mut self) -> Vec<u8> {
+            if self.filled > 0 {
+                self.bytes.push(self.current << (8 - self.filled));
+            }
+            self.bytes
+        }
+    }
+
+    #[test]
+    fn word_wide_writer_matches_the_bit_serial_reference() {
+        // Every width 0..=32 at every accumulator fill, values with bits
+        // set above `count` (they must be masked off), `bit_len` mid-byte.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..200 {
+            let (mut fast, mut slow) = (BitWriter::new(), SerialWriter::default());
+            for step in 0..(round % 70) {
+                let r = next();
+                let count = if step % 11 == 0 { [0, 32, 31, 1][step / 11 % 4] } else { r % 33 };
+                let value = if r & (1 << 40) == 0 { (r >> 8) as u32 } else { u32::MAX };
+                fast.write_bits(value, count as u8);
+                slow.write_bits(value, count as u8);
+                assert_eq!(fast.bit_len(), slow.bit_len(), "round {round} step {step}");
+            }
+            assert_eq!(fast.finish(), slow.finish(), "round {round}");
+        }
+    }
+
+    #[test]
+    fn finish_zero_pads_the_last_byte() {
+        let mut w = BitWriter::new();
+        w.write_bits(u32::MAX, 32);
+        w.write_bits(0b1_0110, 3); // only 110 is written
+        assert_eq!(w.bit_len(), 35);
+        assert_eq!(w.finish(), [0xFF, 0xFF, 0xFF, 0xFF, 0b1100_0000]);
     }
 
     #[test]

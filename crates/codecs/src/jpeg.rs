@@ -4,12 +4,13 @@
 //! subsampling, 8×8 orthonormal DCT, quality-scaled quantisation with the
 //! Annex-K tables, zigzag scan, DC prediction, (run, size) run-length
 //! symbols and per-image canonical Huffman tables. The bitstream is
-//! self-contained (not interchange-format JPEG — see DESIGN.md §1).
+//! self-contained (not interchange-format JPEG — see "Reproduction scope" in
+//! the README).
 
 use crate::codec::{CodecError, ImageCodec, Quality};
-use crate::dct::{dct8, zigzag_order};
+use crate::dct::dct8;
 use crate::entropy::bitio::{BitReader, BitWriter};
-use crate::entropy::huffman::{histogram, HuffmanTable};
+use crate::entropy::huffman::HuffmanTable;
 use crate::registry::CodecId;
 use easz_image::resample::{resize, Filter};
 use easz_image::{color, Channels, ImageF32};
@@ -45,14 +46,86 @@ fn scaled_qtable(base: &[u16; 64], quality: Quality) -> [f32; 64] {
     out
 }
 
-/// A quantised 8×8 block in zigzag order.
-fn quantize_block(coeffs: &[f32], qtable: &[f32; 64], zz: &[usize]) -> Vec<i32> {
-    zz.iter().map(|&i| (coeffs[i] / qtable[i]).round() as i32).collect()
+/// Zigzag scan of an 8×8 block: `ZIGZAG[k]` is the raster index of the
+/// `k`-th coefficient, low frequencies first.
+const ZIGZAG: [usize; 64] = [
+    0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5, 12, 19, 26, 33, 40, 48, 41, 34, 27, 20,
+    13, 6, 7, 14, 21, 28, 35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51, 58, 59,
+    52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
+];
+
+/// The quantisation table of a plane at `quality`.
+fn plane_qtable(chroma: bool, quality: Quality) -> [f32; 64] {
+    scaled_qtable(if chroma { &CHROMA_QTABLE } else { &LUMA_QTABLE }, quality)
 }
 
-fn dequantize_block(q: &[i32], qtable: &[f32; 64], zz: &[usize]) -> Vec<f32> {
-    let mut out = vec![0f32; 64];
-    for (k, &i) in zz.iter().enumerate() {
+/// Block `(bx, by)` of a planar `w × h` channel, edges replicated where the
+/// block overhangs the plane.
+fn load_block(plane: &[f32], w: usize, h: usize, bx: usize, by: usize) -> [f32; 64] {
+    let (x0, y0) = (bx * 8, by * 8);
+    let mut block = [0f32; 64];
+    if x0 + 8 <= w && y0 + 8 <= h {
+        for (dy, row) in block.chunks_exact_mut(8).enumerate() {
+            let at = (y0 + dy) * w + x0;
+            row.copy_from_slice(&plane[at..at + 8]);
+        }
+    } else {
+        for (dy, row) in block.chunks_exact_mut(8).enumerate() {
+            let src = &plane[(y0 + dy).min(h - 1) * w..][..w];
+            for (dx, v) in row.iter_mut().enumerate() {
+                *v = src[(x0 + dx).min(w - 1)];
+            }
+        }
+    }
+    block
+}
+
+/// `x.round() as i16` — half away from zero, saturating, NaN to zero —
+/// without the call into libm that keeps the quantiser loop scalar.
+///
+/// Exact, not approximate: after the clamp `x as i32` truncates without
+/// overflow, and `x - trunc(x)` is exact in `f32` (the fraction of a float
+/// needs no more mantissa bits than the float has), so the comparison with
+/// one half sees the true fraction. Clamping first only merges values that
+/// saturate to the same `i16` anyway.
+#[inline]
+fn round_to_i16(x: f32) -> i16 {
+    let x = x.clamp(-32768.0, 32767.0);
+    let whole = x as i32;
+    let fraction = x - whole as f32;
+    (whole + i32::from(fraction >= 0.5) - i32::from(fraction <= -0.5)) as i16
+}
+
+/// Transforms and quantises every 8×8 block of a plane: 64 zigzag-ordered
+/// levels per block, blocks in raster order.
+///
+/// Levels are stored as `i16`: at the finest table (1/2040) that holds
+/// coefficients up to ±16, four times what samples in `[0, 1]` can reach;
+/// wilder input saturates.
+fn quantize_plane(plane: &[f32], w: usize, h: usize, qtable: &[f32; 64]) -> Vec<i16> {
+    let basis = dct8();
+    let mut coeffs = [0f32; 64];
+    let mut raster = [0i16; 64];
+    let mut levels = Vec::with_capacity(h.div_ceil(8) * w.div_ceil(8) * 64);
+    for by in 0..h.div_ceil(8) {
+        for bx in 0..w.div_ceil(8) {
+            let mut block = load_block(plane, w, h, bx, by);
+            for v in &mut block {
+                *v -= 0.5; // centre around zero like JPEG's -128
+            }
+            basis.forward_into(&block, &mut coeffs);
+            for ((level, &c), &q) in raster.iter_mut().zip(&coeffs).zip(qtable) {
+                *level = round_to_i16(c / q);
+            }
+            levels.extend(ZIGZAG.iter().map(|&i| raster[i]));
+        }
+    }
+    levels
+}
+
+fn dequantize_block(q: &[i32], qtable: &[f32; 64]) -> [f32; 64] {
+    let mut out = [0f32; 64];
+    for (k, &i) in ZIGZAG.iter().enumerate() {
         out[i] = q[k] as f32 * qtable[i];
     }
     out
@@ -85,20 +158,56 @@ fn amplitude_decode(bits: u32, size: u8) -> i32 {
     }
 }
 
-/// One colour plane prepared for block coding.
-struct Plane {
-    img: ImageF32,
-    chroma: bool,
+/// Index of the DC and of the AC Huffman table.
+const DC: usize = 0;
+const AC: usize = 1;
+
+/// Walks the quantised planes as their entropy symbols, in bitstream
+/// order. Per block: the category of the DC level's difference from the
+/// previous block of the plane, then (run, size) symbols for the AC levels
+/// up to the last nonzero one, with `ZRL` for every 16 zeros and `EOB` if
+/// the block ends early. `emit` receives the table, the symbol, and the
+/// count and value of the amplitude bits that follow it.
+///
+/// Both encoder passes — histogram, then emission — go through here, so
+/// the tables are built from exactly the symbols that get written.
+fn for_each_symbol(planes: &[Vec<i16>], mut emit: impl FnMut(usize, u8, u8, u32)) {
+    for plane in planes {
+        let mut prev_dc = 0i32;
+        for q in plane.chunks_exact(64) {
+            let diff = i32::from(q[0]) - prev_dc;
+            prev_dc = i32::from(q[0]);
+            let size = bit_size(diff);
+            emit(DC, size, size, amplitude_bits(diff, size));
+            let end = q.iter().rposition(|&v| v != 0).map_or(1, |k| k + 1);
+            let mut run = 0u8;
+            for &v in &q[1..end] {
+                if v == 0 {
+                    run += 1;
+                    if run == 16 {
+                        emit(AC, 0xF0, 0, 0); // ZRL
+                        run = 0;
+                    }
+                    continue;
+                }
+                let size = bit_size(i32::from(v));
+                emit(AC, (run << 4) | size, size, amplitude_bits(i32::from(v), size));
+                run = 0;
+            }
+            if end < 64 {
+                emit(AC, 0x00, 0, 0); // EOB
+            }
+        }
+    }
 }
 
-/// The symbol + raw-bit stream of the whole image (two-pass encoding).
-#[derive(Default)]
-struct SymbolStream {
-    /// (huffman symbol, amplitude bit count, amplitude bits)
-    dc: Vec<(u8, u8, u32)>,
-    ac: Vec<(u8, u8, u32)>,
-    /// Interleaving order: true = next symbol comes from `dc`.
-    order: Vec<bool>,
+/// Splits interleaved RGB into planar Y, Cb and Cr in one pass.
+fn ycbcr_planes(img: &ImageF32) -> [Vec<f32>; 3] {
+    let [mut y, mut cb, mut cr] = [(); 3].map(|()| vec![0f32; img.pixels()]);
+    for (((px, y), cb), cr) in img.data().chunks_exact(3).zip(&mut y).zip(&mut cb).zip(&mut cr) {
+        (*y, *cb, *cr) = color::rgb_to_ycbcr(px[0], px[1], px[2]);
+    }
+    [y, cb, cr]
 }
 
 /// The from-scratch JPEG-style codec.
@@ -126,94 +235,23 @@ impl JpegLikeCodec {
         Self::default()
     }
 
-    fn planes(img: &ImageF32) -> Vec<Plane> {
-        match img.channels() {
-            Channels::Gray => vec![Plane { img: img.clone(), chroma: false }],
-            Channels::Rgb => {
-                let ycc = color::image_rgb_to_ycbcr(img);
-                let y = ycc.channel(0);
-                let half_w = img.width().div_ceil(2).max(1);
-                let half_h = img.height().div_ceil(2).max(1);
-                let cb = resize(&ycc.channel(1), half_w, half_h, Filter::Bilinear);
-                let cr = resize(&ycc.channel(2), half_w, half_h, Filter::Bilinear);
-                vec![
-                    Plane { img: y, chroma: false },
-                    Plane { img: cb, chroma: true },
-                    Plane { img: cr, chroma: true },
-                ]
-            }
-        }
-    }
-
-    fn encode_plane(plane: &Plane, quality: Quality, zz: &[usize], stream: &mut SymbolStream) {
-        let qtable =
-            scaled_qtable(if plane.chroma { &CHROMA_QTABLE } else { &LUMA_QTABLE }, quality);
-        let basis = dct8();
-        let grid = easz_image::blocks::BlockGrid::new(plane.img.width(), plane.img.height(), 8);
-        let mut prev_dc = 0i32;
-        for by in 0..grid.rows() {
-            for bx in 0..grid.cols() {
-                let mut block = easz_image::blocks::extract_block(&plane.img, grid, bx, by, 0);
-                for v in &mut block {
-                    *v -= 0.5; // centre around zero like JPEG's -128
-                }
-                let coeffs = basis.forward(&block);
-                let q = quantize_block(&coeffs, &qtable, zz);
-                // DC: delta-coded.
-                let diff = q[0] - prev_dc;
-                prev_dc = q[0];
-                let size = bit_size(diff);
-                stream.dc.push((size, size, amplitude_bits(diff, size)));
-                stream.order.push(true);
-                // AC: run-length of zeros.
-                let mut run = 0u8;
-                let last_nonzero = (1..64).rev().find(|&k| q[k] != 0);
-                let end = last_nonzero.map(|k| k + 1).unwrap_or(1);
-                for &v in &q[1..end] {
-                    if v == 0 {
-                        run += 1;
-                        if run == 16 {
-                            stream.ac.push((0xF0, 0, 0)); // ZRL
-                            stream.order.push(false);
-                            run = 0;
-                        }
-                        continue;
-                    }
-                    let size = bit_size(v);
-                    stream.ac.push(((run << 4) | size, size, amplitude_bits(v, size)));
-                    stream.order.push(false);
-                    run = 0;
-                }
-                if end < 64 {
-                    stream.ac.push((0x00, 0, 0)); // EOB
-                    stream.order.push(false);
-                }
-            }
-        }
-    }
-
-    // One argument per JPEG header field the plane needs; bundling them
-    // into a struct would just move the field list.
-    #[allow(clippy::too_many_arguments)]
     fn decode_plane(
         width: usize,
         height: usize,
-        chroma: bool,
-        quality: Quality,
-        zz: &[usize],
+        qtable: &[f32; 64],
         dc_table: &HuffmanTable,
         ac_table: &HuffmanTable,
         reader: &mut BitReader<'_>,
     ) -> Result<ImageF32, CodecError> {
-        let qtable = scaled_qtable(if chroma { &CHROMA_QTABLE } else { &LUMA_QTABLE }, quality);
         let basis = dct8();
+        let mut block = [0f32; 64];
         let mut img = ImageF32::new(width, height, Channels::Gray);
         let grid = easz_image::blocks::BlockGrid::new(width, height, 8);
         let mut prev_dc = 0i32;
         let bad = || CodecError::Format("truncated entropy stream".into());
         for by in 0..grid.rows() {
             for bx in 0..grid.cols() {
-                let mut q = vec![0i32; 64];
+                let mut q = [0i32; 64];
                 let size = dc_table.decode(reader).ok_or_else(bad)?;
                 // The size category is itself entropy-coded, so a corrupt
                 // stream can claim any byte; past 30 bits the amplitude maths
@@ -244,8 +282,7 @@ impl JpegLikeCodec {
                     q[k] = amplitude_decode(bits, size);
                     k += 1;
                 }
-                let coeffs = dequantize_block(&q, &qtable, zz);
-                let mut block = basis.inverse(&coeffs);
+                basis.inverse_into(&dequantize_block(&q, qtable), &mut block);
                 for v in &mut block {
                     *v += 0.5;
                 }
@@ -304,54 +341,58 @@ impl ImageCodec for JpegLikeCodec {
     }
 
     fn encode(&self, img: &ImageF32, quality: Quality) -> Result<Vec<u8>, CodecError> {
-        if img.width() == 0 || img.height() == 0 {
+        let (w, h) = (img.width(), img.height());
+        if w == 0 || h == 0 {
             return Err(CodecError::Unsupported("empty image".into()));
         }
-        let zz = zigzag_order(8);
-        let planes = Self::planes(img);
-        let mut stream = SymbolStream::default();
-        for plane in &planes {
-            Self::encode_plane(plane, quality, &zz, &mut stream);
+        let luma_q = plane_qtable(false, quality);
+        let planes = match img.channels() {
+            Channels::Gray => vec![quantize_plane(img.data(), w, h, &luma_q)],
+            Channels::Rgb => {
+                let chroma_q = plane_qtable(true, quality);
+                let (half_w, half_h) = (w.div_ceil(2).max(1), h.div_ceil(2).max(1));
+                let [y, cb, cr] = ycbcr_planes(img);
+                // 4:2:0; a full-size chroma plane is dropped as soon as its
+                // half-size version exists.
+                let subsample = |full: Vec<f32>| {
+                    let full = ImageF32::from_vec(w, h, Channels::Gray, full);
+                    resize(&full, half_w, half_h, Filter::Bilinear)
+                };
+                let (cb, cr) = (subsample(cb), subsample(cr));
+                vec![
+                    quantize_plane(&y, w, h, &luma_q),
+                    quantize_plane(cb.data(), half_w, half_h, &chroma_q),
+                    quantize_plane(cr.data(), half_w, half_h, &chroma_q),
+                ]
+            }
+        };
+
+        // Pass 1: Huffman tables from the symbol histograms.
+        let mut freq = [[0u64; 256]; 2];
+        for_each_symbol(&planes, |table, symbol, _, _| freq[table][symbol as usize] += 1);
+        // Every block has a DC symbol; a table needs at least one symbol
+        // even if no block has an AC one.
+        if freq[AC].iter().all(|&f| f == 0) {
+            freq[AC][0] = 1;
         }
-        // Build Huffman tables from the symbol histograms.
-        let mut dc_freq = histogram(&stream.dc.iter().map(|&(s, _, _)| s).collect::<Vec<_>>());
-        let mut ac_freq = histogram(&stream.ac.iter().map(|&(s, _, _)| s).collect::<Vec<_>>());
-        // Ensure the tables are non-empty even for degenerate images.
-        if dc_freq.iter().all(|&f| f == 0) {
-            dc_freq[0] = 1;
-        }
-        if ac_freq.iter().all(|&f| f == 0) {
-            ac_freq[0] = 1;
-        }
-        let dc_table = HuffmanTable::from_frequencies(&dc_freq);
-        let ac_table = HuffmanTable::from_frequencies(&ac_freq);
+        let tables = freq.map(|f| HuffmanTable::from_frequencies(&f));
 
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(img.width() as u32).to_le_bytes());
-        out.extend_from_slice(&(img.height() as u32).to_le_bytes());
+        out.extend_from_slice(&(w as u32).to_le_bytes());
+        out.extend_from_slice(&(h as u32).to_le_bytes());
         out.push(img.channels().count() as u8);
         out.push(quality.value());
-        write_table(&mut out, &dc_table);
-        write_table(&mut out, &ac_table);
+        write_table(&mut out, &tables[DC]);
+        write_table(&mut out, &tables[AC]);
 
-        // Entropy-coded payload: interleave symbols in generation order.
-        let mut w = BitWriter::new();
-        let (mut di, mut ai) = (0usize, 0usize);
-        for &is_dc in &stream.order {
-            if is_dc {
-                let (sym, size, bits) = stream.dc[di];
-                di += 1;
-                dc_table.encode(sym, &mut w);
-                w.write_bits(bits, size);
-            } else {
-                let (sym, size, bits) = stream.ac[ai];
-                ai += 1;
-                ac_table.encode(sym, &mut w);
-                w.write_bits(bits, size);
-            }
-        }
-        out.extend_from_slice(&w.finish());
+        // Pass 2: the entropy-coded payload.
+        let mut bits = BitWriter::new();
+        for_each_symbol(&planes, |table, symbol, size, amplitude| {
+            tables[table].encode(symbol, &mut bits);
+            bits.write_bits(amplitude, size);
+        });
+        out.extend_from_slice(&bits.finish());
         Ok(out)
     }
 
@@ -374,52 +415,19 @@ impl ImageCodec for JpegLikeCodec {
         let mut pos = 14usize;
         let dc_table = read_table(bytes, &mut pos)?;
         let ac_table = read_table(bytes, &mut pos)?;
-        let zz = zigzag_order(8);
         let mut reader = BitReader::new(&bytes[pos..]);
+        let mut plane = |width, height, chroma| {
+            let qtable = plane_qtable(chroma, quality);
+            Self::decode_plane(width, height, &qtable, &dc_table, &ac_table, &mut reader)
+        };
         match nchan {
-            1 => Self::decode_plane(
-                width,
-                height,
-                false,
-                quality,
-                &zz,
-                &dc_table,
-                &ac_table,
-                &mut reader,
-            ),
+            1 => plane(width, height, false),
             3 => {
-                let y = Self::decode_plane(
-                    width,
-                    height,
-                    false,
-                    quality,
-                    &zz,
-                    &dc_table,
-                    &ac_table,
-                    &mut reader,
-                )?;
+                let y = plane(width, height, false)?;
                 let half_w = width.div_ceil(2).max(1);
                 let half_h = height.div_ceil(2).max(1);
-                let cb = Self::decode_plane(
-                    half_w,
-                    half_h,
-                    true,
-                    quality,
-                    &zz,
-                    &dc_table,
-                    &ac_table,
-                    &mut reader,
-                )?;
-                let cr = Self::decode_plane(
-                    half_w,
-                    half_h,
-                    true,
-                    quality,
-                    &zz,
-                    &dc_table,
-                    &ac_table,
-                    &mut reader,
-                )?;
+                let cb = plane(half_w, half_h, true)?;
+                let cr = plane(half_w, half_h, true)?;
                 let cb = resize(&cb, width, height, Filter::Bilinear);
                 let cr = resize(&cr, width, height, Filter::Bilinear);
                 let ycc = ImageF32::from_planes(&y, &cb, &cr);
@@ -447,6 +455,48 @@ mod tests {
         bytes.push(3); // channels
         bytes.push(75); // quality
         assert!(matches!(JpegLikeCodec::new().decode(&bytes), Err(CodecError::Format(_))));
+    }
+
+    #[test]
+    fn round_to_i16_is_round_then_saturating_cast() {
+        let check = |x: f32| assert_eq!(round_to_i16(x), x.round() as i16, "{x:e}");
+        // Every tie in and just past the i16 range with its neighbours one
+        // ulp either side, where a rounded `x + 0.5` would go wrong.
+        for k in -33_000..=33_000 {
+            let tie = k as f32 + 0.5;
+            for x in [tie, f32::from_bits(tie.to_bits() - 1), f32::from_bits(tie.to_bits() + 1)] {
+                check(x);
+                check(-x);
+            }
+        }
+        for x in [0.0, -0.0, 0.49999997, 1.0e-40, f32::MAX, f32::INFINITY, f32::NAN, 8_388_609.0] {
+            check(x);
+            check(-x);
+        }
+        // A sweep across every exponent and sign (all 2^32 patterns agree;
+        // checking them takes 15 s, so the suite strides).
+        for bits in (0..=u32::MAX).step_by(4099) {
+            check(f32::from_bits(bits));
+        }
+    }
+
+    #[test]
+    fn zigzag_table_is_the_generated_scan() {
+        assert_eq!(ZIGZAG.to_vec(), crate::dct::zigzag_order(8));
+    }
+
+    #[test]
+    fn block_loads_agree_with_extract_block_inside_and_over_the_edge() {
+        // 17×9: blocks (0,0) and (1,0) take the interior copy, the other
+        // four overhang to the right, below, or both.
+        let img = color::luma(&test_image(17, 9));
+        let grid = easz_image::blocks::BlockGrid::new(17, 9, 8);
+        for by in 0..grid.rows() {
+            for bx in 0..grid.cols() {
+                let want = easz_image::blocks::extract_block(&img, grid, bx, by, 0);
+                assert_eq!(load_block(img.data(), 17, 9, bx, by).to_vec(), want, "({bx},{by})");
+            }
+        }
     }
 
     fn test_image(w: usize, h: usize) -> ImageF32 {

@@ -10,7 +10,8 @@
 //!   residual DCT, adaptive range coding, deblocking).
 //! * [`NeuralSimCodec`] — simulated learned codecs (MBT, Cheng-Anchor,
 //!   Ballé tiers) with real bitstreams one quality tier above BPG plus the
-//!   published architectures' cost profiles (see DESIGN.md §1).
+//!   published architectures' cost profiles (see "Reproduction scope" in the
+//!   README).
 //! * [`sr`] — super-resolution baselines for the paper's Table I.
 //! * [`entropy`] — bit I/O, canonical Huffman, adaptive binary range coder.
 //!

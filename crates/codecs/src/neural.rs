@@ -2,12 +2,12 @@
 //! Cheng-Anchor (Cheng et al., CVPR'20).
 //!
 //! The paper uses these as its strongest baselines. Training the real
-//! models is out of scope on this substrate (DESIGN.md §1); instead each is
-//! an instance of the shared transform engine tuned one quality tier above
-//! the BPG-like codec (finer chroma, RD-style dead-zone quantisation,
-//! stronger loop filtering, more efficient step scaling), plus a **cost
-//! profile** carrying the published architecture's parameter count and
-//! encode/decode complexity. Quality experiments exercise the real
+//! models is out of scope on this substrate (README, "Reproduction scope");
+//! instead each is an instance of the shared transform engine tuned one
+//! quality tier above the BPG-like codec (finer chroma, RD-style dead-zone
+//! quantisation, stronger loop filtering, more efficient step scaling), plus
+//! a **cost profile** carrying the published architecture's parameter count
+//! and encode/decode complexity. Quality experiments exercise the real
 //! bitstreams; efficiency experiments (Fig 1, Fig 6, Fig 8d) consume the
 //! cost profiles through `easz-testbed`.
 

@@ -3,9 +3,9 @@
 //! The paper compares Easz against SwinIR, realESRGAN and BSRGAN in the
 //! "downsample on the edge, super-resolve on the server" regime. The real
 //! GAN/transformer SR models are replaced by classical upsamplers with
-//! increasing amounts of detail enhancement (DESIGN.md §1); each stand-in
-//! carries the published 67 MB model-size metadata so the table's
-//! model-size column is reproduced.
+//! increasing amounts of detail enhancement (README, "Reproduction scope");
+//! each stand-in carries the published 67 MB model-size metadata so the
+//! table's model-size column is reproduced.
 
 use easz_image::resample::{resize, Filter};
 use easz_image::ImageF32;

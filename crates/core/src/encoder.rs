@@ -4,15 +4,22 @@
 //! claim (Fig. 2, Fig. 6a) is that the edge runs *no* neural network, so no
 //! [`Reconstructor`](crate::Reconstructor) appears anywhere in this module's
 //! signatures and a sensor build never touches the tensor crate's forward
-//! pass. The edge-side cost of [`EaszEncoder::erase_and_squeeze`] is a few
-//! copies per pixel (Fig. 6a's 0.7% slice).
+//! pass.
+//!
+//! What Easz itself adds on the device, [`EaszEncoder::erase_and_squeeze`],
+//! is one copy per kept pixel. Measured rather than asserted: in the traced
+//! `edge_encode` run of `benchmark/` it is
+//! `core.squeeze.erase_and_squeeze_ms` ÷ `core.encoder.compress_ms` ≈ 10 % of
+//! a 768×512 encode (1.3 of 13.4 ms on the reference box), the rest being the
+//! inner JPEG-like codec. The paper's Fig. 6a puts that slice at 0.7 % beside
+//! neural encoders; beside a conventional codec it is a tenth.
 
 use crate::config::EaszConfig;
 use crate::container::{self, EaszEncoded};
 use crate::error::EaszError;
 use crate::mask::EraseMask;
-use crate::patchify::Patchified;
-use crate::squeeze::{squeeze_patch, Orientation};
+use crate::patchify::PatchGeometry;
+use crate::squeeze::Orientation;
 use easz_codecs::{CodecId, ImageCodec, Quality};
 use easz_image::ImageF32;
 
@@ -42,20 +49,49 @@ impl EaszEncoder {
 
     /// Edge-side transform: erase + squeeze, producing the smaller image
     /// that the inner codec will compress, plus the mask.
+    ///
+    /// The image counts as padded to whole patches by replicating its right
+    /// and bottom edges; every kept `b`-pixel run is copied straight from
+    /// its source row to its place in the squeezed canvas.
     pub fn erase_and_squeeze(&self, img: &ImageF32) -> (ImageF32, EraseMask) {
-        let geometry = self.config.geometry();
-        let mask = self.config.make_mask();
-        let patched = Patchified::from_image(img, geometry);
-        let t_b = mask.erased_per_row() * geometry.b;
-        let (sq_w, sq_h) = match self.config.orientation {
-            Orientation::Horizontal => (geometry.n - t_b, geometry.n),
-            Orientation::Vertical => (geometry.n, geometry.n - t_b),
-        };
-        let mut canvas = ImageF32::new(sq_w * patched.cols, sq_h * patched.rows, img.channels());
-        for (i, patch) in patched.patches.iter().enumerate() {
-            let sq = squeeze_patch(patch, geometry, &mask, self.config.orientation);
-            let (px, py) = (i % patched.cols, i / patched.cols);
-            canvas.paste(&sq, px * sq_w, py * sq_h);
+        let PatchGeometry { n, b } = self.config.geometry();
+        let (grid, mask) = (n / b, self.config.make_mask());
+        let kept = grid - mask.erased_per_row();
+        let horizontal = self.config.orientation == Orientation::Horizontal;
+        // Grid cells per patch across and down the canvas: the squeeze
+        // direction has lost the erased ones.
+        let (across, down) = if horizontal { (kept, grid) } else { (grid, kept) };
+        let (w, h, cc) = (img.width(), img.height(), img.channels().count());
+        let mut canvas =
+            ImageF32::new(across * b * w.div_ceil(n), down * b * h.div_ceil(n), img.channels());
+        if canvas.pixels() == 0 {
+            return (canvas, mask); // no last row or column to clamp to
+        }
+        // `kept_of[line * kept + slot]`: the cell of grid line `line` (a grid
+        // row when squeezing horizontally, else a grid column) that lands in
+        // `slot`.
+        let kept_of: Vec<usize> = (0..grid).flat_map(|line| mask.kept_cols(line)).collect();
+        let canvas_row = canvas.width() * cc;
+        for (y, out_row) in canvas.data_mut().chunks_exact_mut(canvas_row).enumerate() {
+            let (patch_y, cell_y, dy) = (y / (down * b), y / b % down, y % b);
+            for (i, run) in out_row.chunks_exact_mut(b * cc).enumerate() {
+                let (patch_x, cell_x) = (i / across, i % across);
+                let (src_cell_x, src_cell_y) = if horizontal {
+                    (kept_of[cell_y * kept + cell_x], cell_y)
+                } else {
+                    (cell_x, kept_of[cell_x * kept + cell_y])
+                };
+                let src_y = (patch_y * n + src_cell_y * b + dy).min(h - 1);
+                let src_row = &img.data()[src_y * w * cc..][..w * cc];
+                let x0 = patch_x * n + src_cell_x * b;
+                if x0 + b <= w {
+                    run.copy_from_slice(&src_row[x0 * cc..][..b * cc]);
+                } else {
+                    for (dx, px) in run.chunks_exact_mut(cc).enumerate() {
+                        px.copy_from_slice(&src_row[(x0 + dx).min(w - 1) * cc..][..cc]);
+                    }
+                }
+            }
         }
         (canvas, mask)
     }
@@ -136,6 +172,8 @@ impl EaszEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::patchify::Patchified;
+    use crate::squeeze::squeeze_patch;
     use easz_codecs::JpegLikeCodec;
     use easz_data::Dataset;
 
@@ -156,6 +194,70 @@ mod tests {
         let img = Dataset::KodakLike.image(0).crop(0, 0, 64, 128);
         let (squeezed, _) = enc.erase_and_squeeze(&img);
         assert_eq!((squeezed.width(), squeezed.height()), (64, 96));
+    }
+
+    /// Erase-and-squeeze as the public pieces compose it: pad and cut into
+    /// patches, squeeze each, paste side by side.
+    fn squeeze_by_patches(enc: &EaszEncoder, img: &ImageF32) -> ImageF32 {
+        let (geometry, mask) = (enc.config.geometry(), enc.config.make_mask());
+        let patched = Patchified::from_image(img, geometry);
+        let squeezed: Vec<ImageF32> = patched
+            .patches
+            .iter()
+            .map(|p| squeeze_patch(p, geometry, &mask, enc.config.orientation))
+            .collect();
+        let (sq_w, sq_h) = (squeezed[0].width(), squeezed[0].height());
+        let mut canvas = ImageF32::new(sq_w * patched.cols, sq_h * patched.rows, img.channels());
+        for (i, sq) in squeezed.iter().enumerate() {
+            canvas.paste(sq, i % patched.cols * sq_w, i / patched.cols * sq_h);
+        }
+        canvas
+    }
+
+    #[test]
+    fn direct_gather_equals_patchify_squeeze_and_paste() {
+        let frame = Dataset::KodakLike.image(5);
+        // A whole number of patches, ragged on both edges, and smaller than
+        // one patch (everything but the corner is replicated edge).
+        for (w, h) in [(96, 64), (100, 70), (20, 13)] {
+            let rgb = frame.crop(7, 3, w, h);
+            for img in [easz_image::color::luma(&rgb), rgb] {
+                for orientation in [Orientation::Horizontal, Orientation::Vertical] {
+                    for erase_ratio in [0.125, 0.375] {
+                        let cfg = EaszConfig { orientation, erase_ratio, ..Default::default() };
+                        let enc = EaszEncoder::new(cfg).expect("encoder");
+                        let (canvas, _) = enc.erase_and_squeeze(&img);
+                        assert_eq!(
+                            canvas,
+                            squeeze_by_patches(&enc, &img),
+                            "{w}x{h} {:?} {orientation:?} r={erase_ratio}",
+                            img.channels()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn images_without_pixels_are_a_typed_error_not_a_panic() {
+        let codec = JpegLikeCodec::new();
+        for orientation in [Orientation::Horizontal, Orientation::Vertical] {
+            let enc = EaszEncoder::new(EaszConfig { orientation, ..Default::default() })
+                .expect("encoder");
+            for (w, h) in [(0, 0), (0, 5), (5, 0)] {
+                let img = ImageF32::new(w, h, easz_image::Channels::Rgb);
+                let (canvas, _) = enc.erase_and_squeeze(&img);
+                assert_eq!(canvas.pixels(), 0, "{w}x{h}");
+                assert!(
+                    matches!(
+                        enc.compress(&img, &codec, Quality::new(75)),
+                        Err(EaszError::Codec(easz_codecs::CodecError::Unsupported(_)))
+                    ),
+                    "{w}x{h} {orientation:?}"
+                );
+            }
+        }
     }
 
     #[test]

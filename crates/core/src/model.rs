@@ -561,7 +561,8 @@ impl Reconstructor {
 
     /// Builds the paper's training loss (Eq. 2): `L1 + λ · perceptual` where
     /// the perceptual term is a frequency-weighted error in the sub-patch
-    /// DCT basis (the differentiable LPIPS stand-in, DESIGN.md §1).
+    /// DCT basis (the differentiable LPIPS stand-in; README, "Reproduction
+    /// scope").
     ///
     /// Returns the scalar loss node.
     pub fn loss(

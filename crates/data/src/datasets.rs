@@ -2,8 +2,8 @@
 //!
 //! The paper pretrains on CIFAR-10 (32×32 tiles) and evaluates on Kodak
 //! (768×512) and CLIC (larger, more detailed photographs). The stand-ins
-//! reproduce the *sizes* and the broad content statistics; see DESIGN.md §1
-//! for the substitution rationale.
+//! reproduce the *sizes* and the broad content statistics; see "Reproduction
+//! scope" in the README for the substitution rationale.
 
 use crate::scene::{generate_scene, SceneConfig};
 use easz_image::ImageF32;

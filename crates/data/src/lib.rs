@@ -11,7 +11,8 @@
 //! geometry, fractal texture, sensor noise) so that they carry the
 //! natural-image statistics — smooth regions, strong edges, mid-frequency
 //! texture — that the paper's comparisons depend on, while remaining exactly
-//! reproducible from a seed. See `DESIGN.md` §1 for the substitution notes.
+//! reproducible from a seed. See "Reproduction scope" in the README for the
+//! substitution notes.
 //!
 //! ```
 //! use easz_data::Dataset;

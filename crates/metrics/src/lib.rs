@@ -10,8 +10,8 @@
 //!   LPIPS; the differentiable training loss lives in `easz-core`).
 //! * Rate: [`bits_per_pixel`].
 //!
-//! Substitutions relative to the published metrics are listed in
-//! DESIGN.md §1; polarity and value ranges follow the originals.
+//! Substitutions relative to the published metrics are listed under
+//! "Reproduction scope" in the README; polarity and value ranges follow the originals.
 //!
 //! ```
 //! use easz_data::Dataset;

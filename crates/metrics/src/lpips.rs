@@ -1,5 +1,5 @@
 //! LPIPS-sim: a fixed-filter-bank perceptual distance standing in for
-//! LPIPS (Zhang et al. 2018) — see DESIGN.md §1.
+//! LPIPS (Zhang et al. 2018) — see "Reproduction scope" in the README.
 //!
 //! Features: oriented gradients (2 orientations) plus a centre-surround
 //! (Laplacian) response, each at 3 dyadic scales, unit-normalised per

@@ -1,7 +1,7 @@
 //! Natural-scene-statistics model: 36-dim BRISQUE feature extraction and a
 //! multivariate-Gaussian "distance from natural" scorer (the NIQE scoring
-//! rule applied to BRISQUE features — see DESIGN.md §1 for why the learned
-//! SVR of real BRISQUE is replaced by this).
+//! rule applied to BRISQUE features — see "Reproduction scope" in the README
+//! for why the learned SVR of real BRISQUE is replaced by this).
 
 use crate::mscn::{fit_aggd, fit_ggd, mscn_map, paired_products};
 use easz_image::resample::downsample2;

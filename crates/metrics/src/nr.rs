@@ -1,8 +1,8 @@
 //! No-reference perceptual scores: BRISQUE-style, NIQE-style, PI and
 //! TReS-sim — the four metrics of the paper's Tables II and Fig. 8.
 //!
-//! Substitutions relative to the published metrics are documented in
-//! DESIGN.md §1; the scores preserve the published ranges and polarity
+//! Substitutions relative to the published metrics are documented under
+//! "Reproduction scope" in the README; the scores preserve the published ranges and polarity
 //! (BRISQUE/PI/NIQE: lower is better; TReS: higher is better) and react to
 //! the same distortions (blockiness, ringing, blur, noise).
 

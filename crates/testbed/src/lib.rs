@@ -4,7 +4,8 @@
 //! (Mao et al., DAC 2025). The paper's systems results (Fig. 1's edge gap,
 //! Fig. 6's latency/power/memory, Fig. 8d's end-to-end latency) come from a
 //! physical Jetson TX2 + RTX 2080Ti testbed on Wi-Fi; this crate replaces
-//! that hardware with calibrated analytic models (DESIGN.md §1):
+//! that hardware with calibrated analytic models (README, "Reproduction
+//! scope"):
 //!
 //! * [`DeviceModel`] — sustained compute throughputs, model-load bandwidth
 //!   and power rails per device (TX2, Raspberry Pi 4, 2080Ti, A100).

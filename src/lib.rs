@@ -49,8 +49,9 @@
 //! # }
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and per-experiment index, and
-//! `EXPERIMENTS.md` for paper-vs-measured numbers of every table/figure.
+//! See "Reproduction scope" in the README for what is substituted or
+//! simulated, and `EXPERIMENTS.md` (built by the `assemble_experiments` bin)
+//! for paper-vs-measured numbers of every table/figure.
 
 #![warn(missing_docs)]
 
