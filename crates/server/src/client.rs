@@ -197,9 +197,12 @@ impl EaszClient {
     ///
     /// # Errors
     ///
-    /// Propagates connection failures.
+    /// Propagates connection failures. Switching Nagle's algorithm off on
+    /// the new socket (see [`from_stream`](Self::from_stream)) is part of
+    /// connecting: a socket that refuses the option is a connection
+    /// failure like any other.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Ok(Self::from_stream(TcpStream::connect(addr)?))
+        Ok(Self::new(Self::dial(addr)?))
     }
 
     /// Connects with retry: connection failures back off per `policy`
@@ -214,7 +217,7 @@ impl EaszClient {
     pub fn connect_with(addr: impl ToSocketAddrs, policy: RetryPolicy) -> io::Result<Self> {
         let mut attempt = 0;
         let stream = loop {
-            match TcpStream::connect(&addr) {
+            match Self::dial(&addr) {
                 Ok(stream) => break stream,
                 Err(e) => {
                     if attempt >= policy.max_retries {
@@ -225,12 +228,33 @@ impl EaszClient {
                 }
             }
         };
-        Ok(Self::from_stream(stream).with_retry(policy))
+        Ok(Self::new(stream).with_retry(policy))
     }
 
     /// Wraps an already-connected stream (e.g. for tests driving both
-    /// halves over a loopback pair).
+    /// halves over a loopback pair), switching Nagle's algorithm off on
+    /// it: every request leaves as one whole-frame write, so there is
+    /// nothing for the kernel to coalesce, and a request written behind an
+    /// unacknowledged one must not wait out the server's delayed ACK.
+    /// There is deliberately no way to opt out. With no error to return,
+    /// the switch is best effort here, as it is on the server's accepted
+    /// sockets: a stream that refuses the option is wrapped anyway and
+    /// only pays latency.
     pub fn from_stream(stream: TcpStream) -> Self {
+        let _ = protocol::prepare_stream(&stream);
+        Self::new(stream)
+    }
+
+    /// Opens a connection of this client's own: connect, then the socket
+    /// setup every Easz stream gets. First connects and re-dials share it,
+    /// so a re-dialed socket behaves like the one it replaces.
+    fn dial(addr: impl ToSocketAddrs) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect(addr)?;
+        protocol::prepare_stream(&stream)?;
+        Ok(stream)
+    }
+
+    fn new(stream: TcpStream) -> Self {
         let addr = stream.peer_addr().ok();
         Self { stream, max_reply_len: 256 << 20, poisoned: false, retry: RetryPolicy::none(), addr }
     }
@@ -409,7 +433,7 @@ impl EaszClient {
         let addr = self.addr.ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotConnected, "peer address unknown; cannot re-dial")
         })?;
-        self.stream = TcpStream::connect(addr)?;
+        self.stream = Self::dial(addr)?;
         self.poisoned = false;
         Ok(())
     }
@@ -738,8 +762,36 @@ mod tests {
             jitter_seed: 11,
         };
         let mut client = EaszClient::connect_with(addr, policy).expect("connect");
+        let first_dial = client.stream.local_addr().expect("local addr");
         let restored = client.decode(b"container-bytes").expect("decode after re-dial");
         assert_eq!(restored, img);
+        assert_ne!(client.stream.local_addr().expect("local addr"), first_dial, "a new socket");
+        assert!(client.stream.nodelay().expect("nodelay"), "socket setup survives the re-dial");
+        server.join().expect("server thread");
+    }
+
+    #[test]
+    fn every_way_to_a_stream_turns_nagle_off() {
+        let (done, wait) = std::sync::mpsc::channel::<()>();
+        let (addr, server) = scripted_server(move |listener| {
+            // Hold all four connections open until the client has looked.
+            let _conns: Vec<_> = (0..4).map(|_| listener.accept().expect("accept")).collect();
+            let _ = wait.recv();
+        });
+        let raw = TcpStream::connect(addr).expect("raw connect");
+        assert!(!raw.nodelay().expect("nodelay"), "the OS default leaves Nagle on");
+        let wrapped = EaszClient::from_stream(raw);
+        assert!(wrapped.stream.nodelay().expect("nodelay"));
+        let connected = EaszClient::connect(addr).expect("connect");
+        assert!(connected.stream.nodelay().expect("nodelay"));
+        let mut retrying =
+            EaszClient::connect_with(addr, RetryPolicy::default()).expect("connect_with");
+        assert!(retrying.stream.nodelay().expect("nodelay"));
+        let first_dial = retrying.stream.local_addr().expect("local addr");
+        retrying.reconnect().expect("re-dial");
+        assert_ne!(retrying.stream.local_addr().expect("local addr"), first_dial, "a new socket");
+        assert!(retrying.stream.nodelay().expect("nodelay"));
+        drop(done);
         server.join().expect("server thread");
     }
 

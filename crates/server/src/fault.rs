@@ -71,7 +71,9 @@ mod active {
     pub struct FaultCounters {
         /// Simulated EINTRs taken by `protocol::read_frame`.
         pub read_interrupts: u64,
-        /// Frame writes torn in two by `protocol::write_frame`.
+        /// Frame writes torn in two: by `protocol::write_flushed` (under
+        /// `protocol::write_frame` and the threaded front end's replies)
+        /// and by the reactor's write pump.
         pub write_splits: u64,
         /// Accept attempts failed in the reactor accept loop.
         pub accept_aborts: u64,
@@ -194,8 +196,8 @@ mod active {
         })
     }
 
-    /// Hook: tear a `len`-byte frame payload at the returned offset
-    /// (`None` = write it whole). Never fires for payloads under 2 bytes.
+    /// Hook: tear a `len`-byte frame write at the returned offset
+    /// (`None` = write it whole). Never fires for writes under 2 bytes.
     pub fn write_split(len: usize) -> Option<usize> {
         if len < 2 {
             return None;

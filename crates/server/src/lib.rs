@@ -105,6 +105,22 @@
 //! threaded front end and is shed with `BUSY` by the reactor. The threaded
 //! path remains the default.
 //!
+//! ## Socket options
+//!
+//! Every stream the crate owns gets the same setup where it is born — the
+//! two accept loops, [`EaszClient`]'s connect and re-dial, and
+//! [`EaszClient::from_stream`]: Nagle's algorithm off (`TCP_NODELAY`). The
+//! rule that makes this free is that every frame leaves in **one write**,
+//! header and payload together ([`protocol::write_frame`], the threaded
+//! reply path, the reactor's outbound buffer, the client's request
+//! writer), so there are no tiny segments for Nagle to coalesce — it could
+//! only hold the second of two back-to-back reply frames until the peer's
+//! delayed ACK of the first, ≈ 40 ms on Linux per batch round trip. On
+//! accepted sockets and in `from_stream` the setup is best effort (a
+//! socket that refuses the option is served anyway); where the client
+//! dials, a refusal is a connect failure. There is no option to turn it
+//! back on: no deployment of a one-write-per-frame protocol wants it.
+//!
 //! ## Failure model
 //!
 //! The server degrades instead of dying, in a fixed order of escalation —

@@ -18,6 +18,7 @@
 use easz_core::EaszError;
 use easz_image::{Channels, ImageU8};
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
 /// Protocol version spoken by this build; carried in `PING`/`PONG` payloads
 /// so peers can detect mismatches before decoding anything.
@@ -297,7 +298,25 @@ impl From<io::Error> for FrameReadError {
     }
 }
 
-/// Writes one frame.
+/// Prepares a freshly connected or accepted socket for Easz traffic by
+/// turning Nagle's algorithm off (`TCP_NODELAY`).
+///
+/// Every stream the crate owns passes through here once, where it is born:
+/// the threaded accept loop, the reactor's accept loop, the client's dial
+/// (connect and re-dial) and `EaszClient::from_stream`. Replies leave as
+/// one write per frame, often several frames back to back while the peer
+/// only reads; with Nagle on, the second small frame waits for the peer's
+/// delayed ACK of the first (≈ 40 ms on Linux). Whole-frame writes are what
+/// makes switching it off free: no frame is ever sent as a trickle of tiny
+/// segments.
+pub(crate) fn prepare_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
+}
+
+/// Writes one frame — header and payload together, in a single `write` on
+/// the happy path, so a socket with Nagle off never sends the 5-byte header
+/// as a segment of its own and one with Nagle on never parks the payload
+/// behind the header's ACK.
 ///
 /// # Panics
 ///
@@ -308,12 +327,11 @@ impl From<io::Error> for FrameReadError {
 ///
 /// Propagates transport errors.
 pub fn write_frame(w: &mut impl Write, frame_type: u8, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&frame_header(frame_type, payload.len()))?;
-    write_flushed(w, payload)
+    write_flushed(w, &frame_bytes(frame_type, payload))
 }
 
-/// Writes `bytes` — a frame payload, or a whole frame already serialized by
-/// [`frame_bytes`] — and flushes.
+/// Writes `bytes` — a whole frame already serialized by [`frame_bytes`] —
+/// in one `write` and flushes.
 pub(crate) fn write_flushed(w: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
     // Fault hook (compiles out of default builds): tear the bytes across
     // two flushed writes so the peer must reassemble the frame from partial
@@ -503,6 +521,42 @@ mod tests {
         write_frame(&mut wire, DECODE, b"payload").expect("write");
         assert_eq!(frame_bytes(DECODE, b"payload"), wire);
         assert_eq!(frame_bytes(PING, &[]), [PING, 0, 0, 0, 0]);
+    }
+
+    /// Records every `write` call as its own chunk.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_unless_the_fault_hook_tears_it() {
+        use crate::fault::{install, FaultPlan};
+        let frame = frame_bytes(DECODE, b"payload");
+        {
+            // A plan that fires nothing; holding its guard keeps a
+            // concurrently running fault test from tearing this write.
+            let _guard = install(FaultPlan::default());
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, DECODE, b"payload").expect("write");
+            assert_eq!(w.writes, std::slice::from_ref(&frame), "header and payload leave together");
+        }
+        let _guard = install(FaultPlan { write_split_permille: 1000, ..FaultPlan::default() });
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, DECODE, b"payload").expect("write");
+        assert_eq!(w.writes.len(), 2, "the armed hook still tears the frame in two");
+        assert_eq!(w.writes.concat(), frame);
     }
 
     #[test]

@@ -422,6 +422,10 @@ mod linux {
             if stream.set_nonblocking(true).is_err() {
                 continue; // dropped: an unpollable socket cannot be served
             }
+            // Before admission, so the BUSY refusal below leaves at once
+            // too. Best effort: a socket that refuses the option is still
+            // served, only slower.
+            let _ = crate::protocol::prepare_stream(&stream);
             let limit = shared.reactor.max_connections;
             if conns.len() >= limit {
                 // Admission control: answer with a typed BUSY frame

@@ -350,6 +350,9 @@ impl EaszServer {
                         // `shutdown_all`) before we return.
                         break Ok(());
                     }
+                    // Best effort: a socket that refuses the option is
+                    // still served, only slower.
+                    let _ = protocol::prepare_stream(&stream);
                     let ctx = ConnCtx {
                         decoder: &decoder,
                         config: &config,
