@@ -1,4 +1,4 @@
-//! Design-choice ablations beyond the paper's figures (DESIGN.md §4):
+//! Design-choice ablations beyond the paper's figures:
 //! (1) horizontal vs vertical squeeze, (2) zero-fill vs neighbour-fill
 //! decoder input, (3) sensitivity to the sampler constraints δ / Δ.
 

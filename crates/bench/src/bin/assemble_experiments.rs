@@ -78,7 +78,7 @@ const SECTIONS: &[Section] = &[
     Section {
         file: "ablation_extras",
         title: "Extra ablations (beyond the paper)",
-        paper: "n/a — design-choice checks called out in DESIGN.md §4",
+        paper: "n/a — design-choice checks beyond the paper's figures",
         shape: "horizontal ≈ vertical squeeze; constrained sampler at or below delta=0 MSE",
     },
 ];
@@ -91,9 +91,10 @@ fn main() -> std::io::Result<()> {
         "# EXPERIMENTS — paper vs. measured\n\n\
          One archived run of every table and figure harness (`cargo bench -p easz-bench`).\n\
          Absolute numbers are not expected to match the authors' physical testbed — data is\n\
-         synthetic, neural codecs are simulated and the testbed is analytic (DESIGN.md §1) —\n\
-         the **shape** line under each section records the qualitative claim that must (and\n\
-         does) reproduce. Regenerate with `scripts/run_all_experiments.sh` followed by\n\
+         synthetic, neural codecs are simulated and the testbed is analytic (README\n\
+         \"Reproduction scope\") — the **shape** line under each section records the\n\
+         qualitative claim that must (and does) reproduce. Regenerate with\n\
+         `scripts/run_all_experiments.sh` followed by\n\
          `cargo run --release -p easz-bench --bin assemble_experiments`.\n",
     );
     for s in SECTIONS {
@@ -119,14 +120,14 @@ fn main() -> std::io::Result<()> {
         }
     }
     out.push_str(
-        "\n## Kernel micro-benchmarks\n\nSee `cargo bench -p easz-bench --bench \
-         criterion_kernels` for DCT / entropy-coder / mask / squeeze / transformer-forward \
-         timings on this machine (criterion reports under `target/criterion/`).\n",
+        "\n## Kernel timings\n\nDCT / entropy-coder / mask / squeeze / transformer-forward \
+         timings on this machine are the per-layer rows of the repository benchmark (`--trace 1`; \
+         see `benchmark/README.md`).\n",
     );
     out.push_str(
         "\n## Known deviations from the paper\n\n\
          * **Absolute bitrates** sit higher than the paper's 0.3-1.2 bpp sweep: the synthetic\n\
-           scenes carry deliberately irreducible pixel-scale detail (DESIGN.md §1), so the\n\
+           scenes carry deliberately irreducible pixel-scale detail, so the\n\
            matched-rate experiments run at 0.7-2.0 bpp. Orderings are unaffected.\n\
          * **Table I MS-SSIM at r = 0.25**: the quick bench reconstructor (trained ~1-2 min on\n\
            CPU, vs the paper's 5000 GPU epochs) leaves mild block structure in in-painted\n\
@@ -136,8 +137,8 @@ fn main() -> std::io::Result<()> {
          * **Cheng-anchor load latency** (Fig. 1) uses a calibrated per-model initialisation\n\
            term (the paper's 11.6 s includes framework graph-build for the GMM + attention\n\
            stack, which an analytic model cannot derive from first principles).\n\
-         * **TReS / PI / BRISQUE absolute values** follow our recalibrated scoring rules\n\
-           (DESIGN.md §1); polarity and distortion sensitivity match the originals.\n\
+         * **TReS / PI / BRISQUE absolute values** follow our recalibrated scoring rules;\n\
+           polarity and distortion sensitivity match the originals.\n\
          * **Grain synthesis** (`EaszConfig::synthesize_grain`, on by default) stands in for\n\
            the texture richness a fully-trained perceptual decoder produces; Table I reports\n\
            the PSNR-optimal (grain-off) decoding mode, the perceptual experiments the default.\n\

@@ -8,7 +8,7 @@
 //! Reproduction scope note: harnesses run on synthetic Kodak-like/CLIC-like
 //! crops with the quick pretrained reconstructor, so absolute numbers are
 //! not the paper's — the *shape* (orderings, rough factors, crossovers) is
-//! the reproduction target (DESIGN.md §4).
+//! the reproduction target (README "Reproduction scope").
 
 #![warn(missing_docs)]
 

@@ -27,13 +27,15 @@ use crate::squeeze::{unsqueeze_patch, FillMethod, Orientation};
 use easz_codecs::{CodecRegistry, ImageCodec};
 use easz_image::{Channels, ImageF32};
 
-/// Which transformer execution engine a decode runs on.
+/// Which numeric tier a decode's transformer forward runs on — the two a
+/// client can ask for over the wire.
 ///
-/// The two f32 engines are byte-identical to each other; the default
-/// [`TapeFree`](DecodeEngine::TapeFree) engine exists because the
-/// [`Graph`](easz_tensor::Graph) engine pays full training overhead
-/// (per-op clones, tape node allocation, every intermediate pinned for a
-/// backward pass that inference never runs). The
+/// Both run forward-only on an [`InferenceSession`](easz_tensor::InferenceSession)
+/// with cached decode plans and scratch-arena buffer reuse. The default
+/// [`TapeFree`](DecodeEngine::TapeFree) tier is the f32 reference: its
+/// tokens are byte-identical to the training tape's
+/// ([`Reconstructor::reconstruct_tokens_graph`], gated by
+/// `tests/infer_equivalence.rs`). The
 /// [`QuantizedInt8`](DecodeEngine::QuantizedInt8) tier trades bit-exactness
 /// for speed under an explicit numeric contract: per-pixel error ≤ ε and
 /// ≥ 40 dB PSNR against the f32 reference decode (enforced by
@@ -42,16 +44,12 @@ use easz_image::{Channels, ImageF32};
 /// composition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DecodeEngine {
-    /// Forward-only f32 executor with cached decode plans and scratch-arena
-    /// buffer reuse (the bit-exact production path).
+    /// Forward-only f32 executor (the bit-exact production path).
     #[default]
     TapeFree,
-    /// The autodiff tape run forward-only (the training engine; reference
-    /// implementation and benchmark baseline).
-    Graph,
     /// The int8 fast tier: per-column weight quantization, widening
     /// multiply-accumulate matmuls, f16-rounded activations. Bounded
-    /// divergence from the f32 engines, not bit-equal.
+    /// divergence from the f32 tier, not bit-equal.
     QuantizedInt8,
 }
 
@@ -220,21 +218,32 @@ impl<'m> EaszDecoder<'m> {
         self.decode(&EaszEncoded::from_bytes(bytes)?)
     }
 
-    /// Decodes a parsed container, resolving the inner codec from the
-    /// registry by the id stamped in the bitstream.
+    /// Decodes a parsed container on its preferred tier (its quantized-tier
+    /// opt-in flag), resolving the inner codec from the registry by the id
+    /// stamped in the bitstream. A codec without a shipped wire identity is
+    /// served by [`CodecRegistry::register`] +
+    /// [`with_registry`](Self::with_registry).
     ///
     /// # Errors
     ///
-    /// [`EaszError::UnknownCodec`] if the registry has no codec under the
-    /// bitstream's id, plus everything [`decode_with`](Self::decode_with)
-    /// can return.
+    /// In the order they are checked: [`EaszError::UnknownModel`] if no
+    /// model is served under the header's model id,
+    /// [`EaszError::GeometryMismatch`] if that model's patch geometry is not
+    /// the bitstream's, [`EaszError::MaskChannel`] for a corrupt mask side
+    /// channel, [`EaszError::UnknownCodec`] if the registry has no codec
+    /// under the bitstream's id, inner-codec errors, and
+    /// [`EaszError::Malformed`] if the decoded payload's size disagrees with
+    /// the announced geometry.
     pub fn decode(&self, encoded: &EaszEncoded) -> Result<ImageF32, EaszError> {
         self.decode_as(encoded, encoded.preferred_engine())
     }
 
-    /// [`decode`](Self::decode) on an explicit execution engine, overriding
-    /// the container's standing preference (its quantized-tier opt-in flag)
-    /// for this call. The server's tiered request frames route here.
+    /// [`decode`](Self::decode) on an explicit tier, overriding the
+    /// container's standing preference for this call. The server's tiered
+    /// request frames route here. A window of one through
+    /// [`decode_batch_with_stats`](Self::decode_batch_with_stats): serial
+    /// and fused decodes are the same code, so they agree on every pixel
+    /// and every error by construction.
     ///
     /// # Errors
     ///
@@ -244,61 +253,9 @@ impl<'m> EaszDecoder<'m> {
         encoded: &EaszEncoded,
         engine: DecodeEngine,
     ) -> Result<ImageF32, EaszError> {
-        let codec =
-            self.registry.get(encoded.codec_id).ok_or(EaszError::UnknownCodec(encoded.codec_id))?;
-        self.decode_with_engine(encoded, codec, engine)
-    }
-
-    /// Decodes with an explicitly supplied inner codec, bypassing the
-    /// registry (for codecs without a wire identity; prefer
-    /// [`decode`](Self::decode), which cannot mismatch).
-    ///
-    /// # Errors
-    ///
-    /// [`EaszError::GeometryMismatch`] if the model's patch geometry is not
-    /// the bitstream's, [`EaszError::MaskChannel`] for a corrupt mask side
-    /// channel, inner-codec errors, and [`EaszError::Malformed`] if the
-    /// decoded payload's size disagrees with the announced geometry.
-    pub fn decode_with(
-        &self,
-        encoded: &EaszEncoded,
-        codec: &dyn ImageCodec,
-    ) -> Result<ImageF32, EaszError> {
-        self.decode_with_engine(encoded, codec, DecodeEngine::TapeFree)
-    }
-
-    /// [`decode_with`](Self::decode_with) on an explicit execution engine.
-    ///
-    /// The two f32 engines produce byte-identical images; the
-    /// [`Graph`](DecodeEngine::Graph) engine is the pre-inference-engine
-    /// decode path, kept for equivalence tests and as the benchmark
-    /// baseline (`easz-bench`'s `decode_bench`). The
-    /// [`QuantizedInt8`](DecodeEngine::QuantizedInt8) engine is
-    /// deterministic but only ε/PSNR-bounded against them.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`decode_with`](Self::decode_with) can return.
-    pub fn decode_with_engine(
-        &self,
-        encoded: &EaszEncoded,
-        codec: &dyn ImageCodec,
-        engine: DecodeEngine,
-    ) -> Result<ImageF32, EaszError> {
-        let (slot, wire_mask, mask) = self.validate_masks(encoded)?;
-        let prepared = self.prepare(encoded, codec, wire_mask, mask)?;
-        let tokens: Vec<Vec<Vec<f32>>> =
-            prepared.patches.iter().map(|p| patch_tokens(p, prepared.geometry)).collect();
-        let batch = TokenBatch::from_patches(&tokens);
-        let recon = match engine {
-            DecodeEngine::TapeFree => self.reconstruct(slot, &batch, &prepared.mask, false),
-            DecodeEngine::QuantizedInt8 => self.reconstruct(slot, &batch, &prepared.mask, true),
-            DecodeEngine::Graph => slot.model.reconstruct_tokens_graph(&batch, &prepared.mask),
-        };
-        let t = self.stage_start();
-        let out = finish(prepared, &recon);
-        self.stage_end(t, crate::DecodeStage::Finish);
-        Ok(out)
+        let (mut window, _) =
+            self.decode_batch_with_stats(std::slice::from_ref(encoded), &[engine]);
+        window.pop().expect("a window of one yields one result")
     }
 
     /// Decodes a batch of containers, amortising the transformer across
@@ -330,7 +287,7 @@ impl<'m> EaszDecoder<'m> {
     /// byte-identity guarantee of [`decode_batch`](Self::decode_batch)
     /// holds — including on the quantized tier, whose per-row arithmetic
     /// makes fused and serial decodes bit-equal *to each other* (though
-    /// only ε-close to the f32 engines).
+    /// only ε-close to the f32 tier).
     ///
     /// # Panics
     ///
@@ -425,23 +382,10 @@ impl<'m> EaszDecoder<'m> {
             group_stats.push((slot.id, members.len()));
             // One transformer forward for the whole group. Uniform-mask
             // groups keep the cheaper broadcast positional embedding;
-            // mixed-mask groups fuse through a MultiMaskPlan. The Graph
-            // engine has no fused multi-mask path (it is a reference
-            // implementation, not a throughput one), so its groups decode
-            // member-by-member.
+            // mixed-mask groups fuse through a MultiMaskPlan.
             let quantized = engine == DecodeEngine::QuantizedInt8;
             let uniform = members.iter().all(|(_, p)| p.mask == members[0].1.mask);
-            let recon = if engine == DecodeEngine::Graph {
-                let mut recon = Vec::with_capacity(tokens.len());
-                let mut offset = 0usize;
-                for (_, p) in &members {
-                    let count = p.patches.len();
-                    let member_batch = TokenBatch::from_patches(&tokens[offset..offset + count]);
-                    recon.extend(slot.model.reconstruct_tokens_graph(&member_batch, &p.mask));
-                    offset += count;
-                }
-                recon
-            } else if uniform {
+            let recon = if uniform {
                 let batch = TokenBatch::from_patches(&tokens);
                 self.reconstruct(slot, &batch, &members[0].1.mask, quantized)
             } else {
@@ -482,7 +426,7 @@ impl<'m> EaszDecoder<'m> {
         (results, group_stats)
     }
 
-    /// Wire-level validation shared by all decode paths: routes the
+    /// Wire-level validation of one container: routes the
     /// container to its served model by header model id, checks the
     /// container's geometry against that model, parses the mask side
     /// channel and resolves the squeeze orientation. Cheap — no pixel work.
@@ -517,7 +461,7 @@ impl<'m> EaszDecoder<'m> {
         let mask = EraseMask::from_bytes(&encoded.mask_bytes).map_err(EaszError::MaskChannel)?;
         let geometry = encoded.config.geometry();
         // `from_bytes` already enforces this, but `EaszEncoded` has public
-        // fields and `decode_with` documents hand-assembled containers, so
+        // fields and a hand-assembled container never went through it, so
         // re-check here rather than index out of bounds below.
         if mask.n_grid() != geometry.grid() {
             return Err(EaszError::MaskChannel(format!(
@@ -922,7 +866,7 @@ mod tests {
         // A valid 16-grid mask against the header's 8-grid geometry.
         let foreign = EaszConfig::builder().n(32).b(2).build().expect("cfg").make_mask().to_bytes();
         encoded.mask_bytes = foreign;
-        assert!(matches!(dec.decode_with(&encoded, &codec), Err(EaszError::MaskChannel(_))));
+        assert!(matches!(dec.decode(&encoded), Err(EaszError::MaskChannel(_))));
     }
 
     #[test]
@@ -967,6 +911,36 @@ mod tests {
         let first = results[0].as_ref().expect("first decode");
         let last = results[3].as_ref().expect("last decode");
         assert_eq!(first.data(), last.data(), "identical streams decode identically");
+    }
+
+    #[test]
+    fn serial_and_fused_decode_agree_on_error_precedence() {
+        // A container wrong twice over gets one typed error, and it is the
+        // served one: model, geometry and mask are validated before the
+        // codec is resolved, whether the container decodes alone or beside
+        // windowmates.
+        let model = quick_model();
+        let dec = EaszDecoder::new(&model);
+        let img = Dataset::KodakLike.image(8).crop(0, 0, 64, 64);
+        let good = encoder().compress(&img, &JpegLikeCodec::new(), Quality::new(70)).expect("c");
+        let mut unmounted = good.clone();
+        unmounted.codec_id = CodecId(200);
+        unmounted.config.model_id = 9;
+        let mut corrupt = good.clone();
+        corrupt.codec_id = CodecId(200);
+        corrupt.mask_bytes.truncate(1);
+        let tier = DecodeEngine::TapeFree;
+        let alone_and_fused = |bad: EaszEncoded| {
+            let alone = dec.decode_as(&bad, tier);
+            let fused = dec.decode_batch_with(&[good.clone(), bad], &[tier, tier]).pop();
+            [alone, fused.expect("two results")]
+        };
+        for result in alone_and_fused(unmounted) {
+            assert!(matches!(result, Err(EaszError::UnknownModel(9))), "got {result:?}");
+        }
+        for result in alone_and_fused(corrupt) {
+            assert!(matches!(result, Err(EaszError::MaskChannel(_))), "got {result:?}");
+        }
     }
 
     #[test]
@@ -1164,25 +1138,6 @@ mod tests {
         let f32_img = batched[0].as_ref().expect("f32");
         let q_img = batched[1].as_ref().expect("quant");
         assert_ne!(f32_img.data(), q_img.data(), "tiers must actually differ numerically");
-    }
-
-    #[test]
-    fn graph_engine_batches_decode_per_member() {
-        // Graph groups take the member-by-member path; results still match
-        // the serial graph decode exactly.
-        let model = quick_model();
-        let dec = EaszDecoder::new(&model);
-        let codec = JpegLikeCodec::new();
-        let img = Dataset::KodakLike.image(2).crop(0, 0, 64, 64);
-        let c = encoder().compress(&img, &codec, Quality::new(75)).expect("compress");
-        let containers = vec![c.clone(), c];
-        let engines = [DecodeEngine::Graph, DecodeEngine::Graph];
-        let batched = dec.decode_batch_with(&containers, &engines);
-        for (c, b) in containers.iter().zip(&batched) {
-            let serial = dec.decode_as(c, DecodeEngine::Graph).expect("serial graph");
-            let b = b.as_ref().expect("batched graph");
-            assert_eq!(serial.data(), b.data());
-        }
     }
 
     #[test]

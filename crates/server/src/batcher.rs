@@ -566,13 +566,13 @@ fn stamp_all(spans: &mut [Option<SpanCtx>], stage: TraceStage) {
 /// window of one.
 ///
 /// The window decodes as one fused call under `catch_unwind`. If that
-/// panics, serial decode is byte-identical to the fused path (the standing
-/// invariant), so each container is re-decoded alone under its own boundary
-/// and only the culprit answers with [`EaszError::Internal`]; its
-/// windowmates still get their images. The fault hooks (a stalled decode,
-/// per-container forced panics) apply here and nowhere else. `spans` are
-/// stamped `DecodeStart`/`DecodeEnd`; the batch-width and decode-time
-/// histograms are fed.
+/// panics, each container is re-decoded alone under its own boundary — a
+/// window of one through the same pipeline, so the same image or the same
+/// typed error — and only the culprit answers with
+/// [`EaszError::Internal`]; its windowmates still get their images. The
+/// fault hooks (a stalled decode, per-container forced panics) apply here
+/// and nowhere else. `spans` are stamped `DecodeStart`/`DecodeEnd`; the
+/// batch-width and decode-time histograms are fed.
 pub(crate) fn decode_window(
     decoder: &EaszDecoder<'_>,
     metrics: &ServerMetrics,
@@ -1075,6 +1075,39 @@ mod tests {
         let stats = metrics.snapshot();
         assert!(stats.panics_caught >= 1, "the catch must be counted");
         assert_eq!(stats.worker_respawns, 1, "exactly one respawn");
+    }
+
+    #[test]
+    fn doubly_bad_container_gets_one_error_whether_or_not_a_windowmate_panics() {
+        // The typed error a container wrong twice over earns must not depend
+        // on whether a windowmate's panic sent the window down the serial
+        // fallback: model and mask are validated before the codec is
+        // resolved on both routes.
+        let model = Reconstructor::new(ReconstructorConfig::fast());
+        let decoder = EaszDecoder::new(&model);
+        let metrics = ServerMetrics::new();
+        let mut unmounted = container(3);
+        unmounted.codec_id = easz_codecs::CodecId(200);
+        unmounted.config.model_id = 9;
+        let mut corrupt = container(4);
+        corrupt.codec_id = easz_codecs::CodecId(200);
+        corrupt.mask_bytes.truncate(1);
+        // The oneshot panic is drawn by the window's first container.
+        let window = [container(1), unmounted, corrupt];
+        let engines = [DecodeEngine::TapeFree; 3];
+        let decode = |plan: fault::FaultPlan| {
+            let _fault = fault::install(plan);
+            decode_window(&decoder, &metrics, &window, &engines, &mut [None, None, None])
+        };
+        let (healthy, panicked) = decode(fault::FaultPlan::default());
+        assert!(!panicked && healthy[0].is_ok(), "the neutral plan decodes the window fused");
+        let (fallback, panicked) =
+            decode(fault::FaultPlan { decode_panic_oneshot: 1, ..fault::FaultPlan::default() });
+        assert!(panicked && matches!(fallback[0], Err(EaszError::Internal(_))));
+        for results in [&healthy, &fallback] {
+            assert!(matches!(results[1], Err(EaszError::UnknownModel(9))), "got {:?}", results[1]);
+            assert!(matches!(results[2], Err(EaszError::MaskChannel(_))), "got {:?}", results[2]);
+        }
     }
 
     #[test]

@@ -194,8 +194,8 @@ unsafe fn matmul_rows_avx2(
 /// Every output element still starts at `0.0` and accumulates `a[i,k] *
 /// b[k,j]` in ascending-`k` order, so results are bit-identical to the
 /// untiled kernel. No zero-skip on `av`: dense activations almost never
-/// contain exact zeros and the branch pessimizes the inner loop (measured
-/// on the criterion kernels bench).
+/// contain exact zeros and the branch pessimizes the inner loop (measured;
+/// the `tensor.parallel.matmul_*_gflops` rows of `benchmark/` re-check it).
 #[inline(always)]
 fn matmul_rows_generic(
     a: &[f32],

@@ -163,7 +163,7 @@ fn independently_built_encoders_are_byte_equivalent() {
     let reparsed = easz::core::EaszEncoded::from_bytes(&a.to_bytes()).expect("parse");
     assert_eq!(reparsed, a);
     let via_wire = decoder.decode(&reparsed).expect("decode reparsed");
-    let direct = decoder.decode_with(&a, &codec).expect("decode direct");
+    let direct = decoder.decode(&a).expect("decode direct");
     assert_eq!((via_wire.width(), via_wire.height()), (img.width(), img.height()));
     assert_eq!(via_wire.data(), direct.data(), "wire trip must not change the decode");
 }
