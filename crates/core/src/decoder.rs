@@ -170,33 +170,6 @@ impl<'m> EaszDecoder<'m> {
         self.slots.iter().map(|s| s.plans.len()).sum()
     }
 
-    /// The transformer forward on one served model's cached inference
-    /// state: plan looked up (or built) in the slot's cache per effective
-    /// mask, scratch arena leased from the shared pool so concurrent
-    /// decodes each reuse warm buffers. The `quantized` flag selects the
-    /// int8 session over the f32 one; both share the same plans and arenas.
-    fn reconstruct(
-        &self,
-        slot: &ModelSlot<'m>,
-        batch: &TokenBatch,
-        mask: &EraseMask,
-        quantized: bool,
-    ) -> Vec<Vec<Vec<f32>>> {
-        let t = self.stage_start();
-        let plan = slot.plans.get_or_build(mask);
-        self.stage_end(t, crate::DecodeStage::Plan);
-        let mut arena = self.arenas.take();
-        let t = self.stage_start();
-        let recon = if quantized {
-            slot.model.infer_tokens_quant(batch, &plan, &mut arena)
-        } else {
-            slot.model.infer_tokens(batch, &plan, &mut arena)
-        };
-        self.stage_end(t, crate::DecodeStage::Forward);
-        self.arenas.put(arena);
-        recon
-    }
-
     /// The codec registry this decoder resolves inner codecs from.
     pub fn registry(&self) -> &CodecRegistry {
         &self.registry
@@ -380,32 +353,36 @@ impl<'m> EaszDecoder<'m> {
                 continue;
             }
             group_stats.push((slot.id, members.len()));
-            // One transformer forward for the whole group. Uniform-mask
-            // groups keep the cheaper broadcast positional embedding;
-            // mixed-mask groups fuse through a MultiMaskPlan.
-            let quantized = engine == DecodeEngine::QuantizedInt8;
-            let uniform = members.iter().all(|(_, p)| p.mask == members[0].1.mask);
-            let recon = if uniform {
-                let batch = TokenBatch::from_patches(&tokens);
-                self.reconstruct(slot, &batch, &members[0].1.mask, quantized)
-            } else {
+            // One transformer forward for the whole group. The plan stage
+            // picks the row view: a uniform-mask group keeps its cached
+            // plan's broadcast positional rows, a mixed-mask group fuses
+            // through a MultiMaskPlan. Everything this block builds, the
+            // token batch included, is dropped before finish allocates the
+            // output images.
+            let recon = {
                 let batch = TokenBatch::from_patches(&tokens);
                 let t = self.stage_start();
-                let plans: Vec<(std::sync::Arc<DecodePlan>, usize)> = members
-                    .iter()
-                    .map(|(_, p)| (slot.plans.get_or_build(&p.mask), p.patches.len()))
-                    .collect();
-                let streams: Vec<(&DecodePlan, usize)> =
-                    plans.iter().map(|(plan, count)| (plan.as_ref(), *count)).collect();
-                let fused = MultiMaskPlan::new(&streams);
+                let (uniform, plans, streams, fused);
+                let rows = if members.iter().all(|(_, p)| p.mask == members[0].1.mask) {
+                    let plan = slot.plans.get_or_build(&members[0].1.mask);
+                    uniform = (plan.maps_for(batch.batch), plan);
+                    uniform.1.rows(&uniform.0)
+                } else {
+                    plans = members
+                        .iter()
+                        .map(|(_, p)| (slot.plans.get_or_build(&p.mask), p.patches.len()))
+                        .collect::<Vec<_>>();
+                    streams = plans
+                        .iter()
+                        .map(|(plan, count)| (plan.as_ref(), *count))
+                        .collect::<Vec<(&DecodePlan, usize)>>();
+                    fused = MultiMaskPlan::new(&streams);
+                    fused.rows()
+                };
                 self.stage_end(t, crate::DecodeStage::Plan);
                 let mut arena = self.arenas.take();
                 let t = self.stage_start();
-                let recon = if quantized {
-                    slot.model.infer_tokens_multi_quant(&batch, &fused, &mut arena)
-                } else {
-                    slot.model.infer_tokens_multi(&batch, &fused, &mut arena)
-                };
+                let recon = slot.model.infer(&batch, rows, &mut arena, engine);
                 self.stage_end(t, crate::DecodeStage::Forward);
                 self.arenas.put(arena);
                 recon

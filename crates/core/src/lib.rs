@@ -17,9 +17,10 @@
 //!   to the equal-erasure-per-row invariant.
 //! * [`Reconstructor`] — the ~8.7 MB transformer encoder-decoder (two
 //!   blocks each) that in-paints erased sub-patches at any erase ratio with
-//!   a single weight set. Inference runs on a tape-free forward-only
-//!   engine ([`Reconstructor::infer_tokens`] over a cached [`DecodePlan`]);
-//!   training keeps the autodiff tape.
+//!   a single weight set. Its forward is written once over an executor:
+//!   training records it on the autodiff tape, inference runs it on the
+//!   tape-free arena engine ([`Reconstructor::infer_tokens`] over a cached
+//!   [`DecodePlan`]).
 //! * [`Trainer`] — AdamW pretraining/fine-tuning with the paper's Eq. 2
 //!   loss (`L1 + 0.3 · perceptual`).
 //! * [`EaszEncoder`] (edge, model-free) and [`EaszDecoder`] (server) — the
@@ -81,7 +82,7 @@ pub use decoder::{DecodeEngine, EaszDecoder, FusedGroup};
 pub use encoder::EaszEncoder;
 pub use error::EaszError;
 pub use mask::{EraseMask, MaskKind, RowSamplerConfig};
-pub use model::{ForwardPass, Reconstructor, ReconstructorConfig, TokenBatch};
+pub use model::{Reconstructor, ReconstructorConfig, TokenBatch};
 pub use patchify::{
     attention_cost_reduction, extract_token, patch_tokens, place_token, PatchGeometry, Patchified,
 };

@@ -9,13 +9,14 @@
 //! key flexibility claim — because the mask enters only through the token
 //! scatter, never through the weights.
 
+use crate::decoder::DecodeEngine;
 use crate::mask::EraseMask;
 use crate::patchify::PatchGeometry;
-use crate::plan::{DecodePlan, MultiMaskPlan};
+use crate::plan::{DecodePlan, MultiMaskPlan, RowMaps};
 use easz_image::Channels;
+use easz_tensor::nn::Executor;
 use easz_tensor::{
-    init, nn, Gradients, Graph, InferenceSession, ParamSet, QuantizedParams, ScratchArena, Tensor,
-    Var,
+    init, nn, Graph, InferenceSession, ParamSet, QuantizedParams, ScratchArena, Tensor, Var,
 };
 use std::sync::OnceLock;
 
@@ -164,12 +165,6 @@ impl TokenBatch {
     }
 }
 
-/// Output of a forward pass, with handles needed to build losses.
-pub struct ForwardPass {
-    /// Predicted centred tokens `[batch * seq, token_dim]`.
-    pub predictions: Var,
-}
-
 impl Reconstructor {
     /// Builds a model with fresh (seeded) weights.
     pub fn new(cfg: ReconstructorConfig) -> Self {
@@ -263,64 +258,72 @@ impl Reconstructor {
         easz_tensor::serialized_size(&self.params)
     }
 
-    /// Forward pass over a token batch under one shared erase mask.
+    /// Forward pass over a token batch under one shared erase mask,
+    /// returning the predicted centred tokens `[batch * seq, token_dim]`.
     ///
     /// The graph is created by the caller so losses can be appended.
     ///
     /// # Panics
     ///
     /// Panics if the batch geometry does not match the model.
-    pub fn forward(&self, g: &mut Graph<'_>, batch: &TokenBatch, mask: &EraseMask) -> ForwardPass {
-        let cfg = &self.cfg;
-        assert_eq!(batch.seq, cfg.seq_len(), "sequence length mismatch");
+    pub fn forward(&self, g: &mut Graph<'_>, batch: &TokenBatch, mask: &EraseMask) -> Var {
         assert_eq!(mask.n_grid() * mask.n_grid(), batch.seq, "mask size mismatch");
-        let seq = batch.seq;
-        let bsz = batch.batch;
+        let plan = DecodePlan::new(mask);
+        self.run(g, batch, plan.rows(&plan.maps_for(batch.batch)))
+    }
 
-        // Positions kept by the mask, in grid-raster order.
-        let kept: Vec<usize> = mask
-            .iter()
-            .filter_map(|(r, c, erased)| (!erased).then_some(r * mask.n_grid() + c))
-            .collect();
-        let m = kept.len();
-        assert!(m > 0, "mask erases everything");
+    /// The transformer forward, written once for every executor: encoder
+    /// over the kept tokens, decoder over the composed sequence.
+    fn run<E: Executor>(&self, e: &mut E, batch: &TokenBatch, rows: RowMaps<'_>) -> E::Value {
+        let (bsz, seq) = (batch.batch, batch.seq);
+        assert_eq!(seq, self.cfg.seq_len(), "sequence length mismatch");
+        assert_eq!(rows.compose.len(), bsz * seq, "plan does not match the batch");
+        let m = rows.kept_rows.len() / bsz;
 
         // --- Encoder: only un-erased tokens. ---
-        // Gather kept rows for every batch element.
-        let all = g.input(batch.tokens.clone());
-        let kept_rows: Vec<usize> =
-            (0..bsz).flat_map(|bi| kept.iter().map(move |&p| bi * seq + p)).collect();
-        let enc_in = g.gather_rows(all, &kept_rows);
-        let x = self.in_proj.forward(g, enc_in);
-        // Positional embedding of the kept positions (tiled per batch).
-        let pos = g.param(self.enc_pos);
-        let pos_kept = g.gather_rows(pos, &kept);
-        let mut x = g.add_broadcast_rows(x, pos_kept);
+        let enc_in = e.gather_input(&batch.tokens, rows.kept_rows);
+        let x = self.in_proj.forward(e, &enc_in);
+        e.free(enc_in);
+        // A uniform mask adds one `[m, d]` block broadcast over the batch;
+        // mixed masks add `[bsz * m, d]`, one block per patch — element-wise
+        // the same additions.
+        let pos = e.gather_param(self.enc_pos, rows.pos_rows);
+        let mut x = e.add_rows(x, pos);
         for block in &self.enc_blocks {
-            x = block.forward(g, x, bsz, m);
+            x = block.forward(e, x, bsz, m);
         }
 
         // --- Decoder input: scatter encoder features + mask tokens. ---
-        // Position -> rank lookup table instead of a per-position binary
-        // search over `kept` (O(seq) build, O(1) probes; the cached-plan
-        // inference path keeps the same table in its `DecodePlan`).
-        let mask_tok = g.param(self.mask_token);
-        let mut rank_of: Vec<Option<usize>> = vec![None; seq];
-        for (rank, &p) in kept.iter().enumerate() {
-            rank_of[p] = Some(rank);
-        }
-        let mut map: Vec<Option<usize>> = Vec::with_capacity(bsz * seq);
-        for bi in 0..bsz {
-            map.extend(rank_of.iter().map(|r| r.map(|rank| bi * m + rank)));
-        }
-        let composed = g.compose_tokens(x, mask_tok, &map);
-        let dec_pos = g.param(self.dec_pos);
-        let mut y = g.add_broadcast_rows(composed, dec_pos);
+        let y = e.compose_tokens(x, self.mask_token, rows.compose);
+        let mut y = e.add_param_rows(y, self.dec_pos);
         for block in &self.dec_blocks {
-            y = block.forward(g, y, bsz, seq);
+            y = block.forward(e, y, bsz, seq);
         }
-        let predictions = self.out_proj.forward(g, y);
-        ForwardPass { predictions }
+        let out = self.out_proj.forward(e, &y);
+        e.free(y);
+        out
+    }
+
+    /// The forward on the tape-free engine over `arena`, on `engine`'s
+    /// numeric tier; returns per patch, per grid position, the predicted
+    /// token values in `[0, 1]`.
+    pub(crate) fn infer(
+        &self,
+        batch: &TokenBatch,
+        rows: RowMaps<'_>,
+        arena: &mut ScratchArena,
+        engine: DecodeEngine,
+    ) -> Vec<Vec<Vec<f32>>> {
+        let mut s = match engine {
+            DecodeEngine::TapeFree => InferenceSession::new(&self.params, arena),
+            DecodeEngine::QuantizedInt8 => {
+                InferenceSession::with_quantized(&self.params, self.quantized_params(), arena)
+            }
+        };
+        let out = self.run(&mut s, batch, rows);
+        let tokens = to_patches(out.data(), batch.seq, self.cfg.token_dim());
+        s.free(out);
+        tokens
     }
 
     /// Convenience inference: reconstructs the erased tokens of a batch.
@@ -343,27 +346,18 @@ impl Reconstructor {
     /// [`reconstruct_tokens`](Self::reconstruct_tokens) on the autodiff
     /// tape — the training engine run forward-only.
     ///
-    /// Byte-identical to the tape-free path (the equivalence sweep in
-    /// `tests/infer_equivalence.rs` enforces it); kept as the reference
-    /// implementation and for benchmarking the engines against each other.
+    /// Byte-identical to the tape-free path by construction (both run the
+    /// one generic forward; the equivalence sweep in
+    /// `tests/infer_equivalence.rs` checks it end to end); kept as the
+    /// reference that sweep compares against.
     pub fn reconstruct_tokens_graph(
         &self,
         batch: &TokenBatch,
         mask: &EraseMask,
     ) -> Vec<Vec<Vec<f32>>> {
         let mut g = Graph::new(&self.params);
-        let fwd = self.forward(&mut g, batch, mask);
-        let out = g.value(fwd.predictions);
-        let mut result = Vec::with_capacity(batch.batch);
-        for bi in 0..batch.batch {
-            let mut patch = Vec::with_capacity(batch.seq);
-            for s in 0..batch.seq {
-                let row = out.row(bi * batch.seq + s);
-                patch.push(row.iter().map(|&v| (v + 0.5).clamp(0.0, 1.0)).collect());
-            }
-            result.push(patch);
-        }
-        result
+        let out = self.forward(&mut g, batch, mask);
+        to_patches(g.value(out).data(), batch.seq, self.cfg.token_dim())
     }
 
     /// The tape-free forward: reconstructs a token batch using a
@@ -384,7 +378,7 @@ impl Reconstructor {
         plan: &DecodePlan,
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
-        self.infer_tokens_impl(batch, plan, arena, None)
+        self.infer(batch, plan.rows(&plan.maps_for(batch.batch)), arena, DecodeEngine::TapeFree)
     }
 
     /// [`infer_tokens`](Self::infer_tokens) on the quantized int8 tier:
@@ -398,63 +392,8 @@ impl Reconstructor {
         plan: &DecodePlan,
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
-        self.infer_tokens_impl(batch, plan, arena, Some(self.quantized_params()))
-    }
-
-    fn infer_tokens_impl(
-        &self,
-        batch: &TokenBatch,
-        plan: &DecodePlan,
-        arena: &mut ScratchArena,
-        quant: Option<&QuantizedParams>,
-    ) -> Vec<Vec<Vec<f32>>> {
-        let cfg = &self.cfg;
-        assert_eq!(batch.seq, cfg.seq_len(), "sequence length mismatch");
-        assert_eq!(plan.seq(), batch.seq, "plan grid does not match the model");
-        let seq = batch.seq;
-        let bsz = batch.batch;
-        let m = plan.kept().len();
-        let maps = plan.maps_for(bsz);
-        let mut s = match quant {
-            Some(q) => InferenceSession::with_quantized(&self.params, q, arena),
-            None => InferenceSession::new(&self.params, arena),
-        };
-
-        // --- Encoder: only un-erased tokens. ---
-        let enc_in = s.gather_rows(&batch.tokens, &maps.kept_rows);
-        let mut x = self.in_proj.infer(&mut s, &enc_in);
-        s.free(enc_in);
-        let pos = s.param(self.enc_pos);
-        let pos_kept = s.gather_rows(pos, plan.kept());
-        s.add_broadcast_rows(&mut x, &pos_kept);
-        s.free(pos_kept);
-        for block in &self.enc_blocks {
-            x = block.infer(&mut s, x, bsz, m);
-        }
-
-        // --- Decoder input: scatter encoder features + mask tokens. ---
-        let mask_tok = s.param(self.mask_token);
-        let mut y = s.compose_tokens(&x, mask_tok, &maps.compose);
-        s.free(x);
-        let dec_pos = s.param(self.dec_pos);
-        s.add_broadcast_rows(&mut y, dec_pos);
-        for block in &self.dec_blocks {
-            y = block.infer(&mut s, y, bsz, seq);
-        }
-        let out = self.out_proj.infer(&mut s, &y);
-        s.free(y);
-
-        let mut result = Vec::with_capacity(bsz);
-        for bi in 0..bsz {
-            let mut patch = Vec::with_capacity(seq);
-            for si in 0..seq {
-                let row = out.row(bi * seq + si);
-                patch.push(row.iter().map(|&v| (v + 0.5).clamp(0.0, 1.0)).collect());
-            }
-            result.push(patch);
-        }
-        s.free(out);
-        result
+        let maps = plan.maps_for(batch.batch);
+        self.infer(batch, plan.rows(&maps), arena, DecodeEngine::QuantizedInt8)
     }
 
     /// The tape-free forward for a **mixed-mask** batch: patches that share
@@ -482,7 +421,7 @@ impl Reconstructor {
         plan: &MultiMaskPlan,
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
-        self.infer_tokens_multi_impl(batch, plan, arena, None)
+        self.infer(batch, plan.rows(), arena, DecodeEngine::TapeFree)
     }
 
     /// [`infer_tokens_multi`](Self::infer_tokens_multi) on the quantized
@@ -496,67 +435,7 @@ impl Reconstructor {
         plan: &MultiMaskPlan,
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
-        self.infer_tokens_multi_impl(batch, plan, arena, Some(self.quantized_params()))
-    }
-
-    fn infer_tokens_multi_impl(
-        &self,
-        batch: &TokenBatch,
-        plan: &MultiMaskPlan,
-        arena: &mut ScratchArena,
-        quant: Option<&QuantizedParams>,
-    ) -> Vec<Vec<Vec<f32>>> {
-        let cfg = &self.cfg;
-        assert_eq!(batch.seq, cfg.seq_len(), "sequence length mismatch");
-        assert_eq!(plan.seq(), batch.seq, "plan grid does not match the model");
-        assert_eq!(plan.patches(), batch.batch, "plan patch count does not match the batch");
-        let seq = batch.seq;
-        let bsz = batch.batch;
-        let m = plan.kept_per_patch();
-        let mut s = match quant {
-            Some(q) => InferenceSession::with_quantized(&self.params, q, arena),
-            None => InferenceSession::new(&self.params, arena),
-        };
-
-        // --- Encoder: each patch's own un-erased tokens. ---
-        let enc_in = s.gather_rows(&batch.tokens, plan.kept_rows());
-        let mut x = self.in_proj.infer(&mut s, &enc_in);
-        s.free(enc_in);
-        let pos = s.param(self.enc_pos);
-        // Mixed masks keep different positions per patch, so gather the
-        // full `[bsz * m, d]` embedding matrix; the add then broadcasts
-        // over a single block, i.e. runs element-wise in the same order as
-        // the uniform-mask `[m, d]` broadcast.
-        let pos_all = s.gather_rows(pos, plan.pos_rows());
-        s.add_broadcast_rows(&mut x, &pos_all);
-        s.free(pos_all);
-        for block in &self.enc_blocks {
-            x = block.infer(&mut s, x, bsz, m);
-        }
-
-        // --- Decoder: per-patch scatter + mask tokens. ---
-        let mask_tok = s.param(self.mask_token);
-        let mut y = s.compose_tokens(&x, mask_tok, plan.compose());
-        s.free(x);
-        let dec_pos = s.param(self.dec_pos);
-        s.add_broadcast_rows(&mut y, dec_pos);
-        for block in &self.dec_blocks {
-            y = block.infer(&mut s, y, bsz, seq);
-        }
-        let out = self.out_proj.infer(&mut s, &y);
-        s.free(y);
-
-        let mut result = Vec::with_capacity(bsz);
-        for bi in 0..bsz {
-            let mut patch = Vec::with_capacity(seq);
-            for si in 0..seq {
-                let row = out.row(bi * seq + si);
-                patch.push(row.iter().map(|&v| (v + 0.5).clamp(0.0, 1.0)).collect());
-            }
-            result.push(patch);
-        }
-        s.free(out);
-        result
+        self.infer(batch, plan.rows(), arena, DecodeEngine::QuantizedInt8)
     }
 
     /// Builds the paper's training loss (Eq. 2): `L1 + λ · perceptual` where
@@ -568,17 +447,17 @@ impl Reconstructor {
     pub fn loss(
         &self,
         g: &mut Graph<'_>,
-        fwd: &ForwardPass,
+        predictions: Var,
         target: &TokenBatch,
         lambda: f32,
     ) -> Var {
-        let l1 = g.l1_loss(fwd.predictions, &target.tokens);
+        let l1 = g.l1_loss(predictions, &target.tokens);
         if lambda == 0.0 {
             return l1;
         }
         let (k, w) = dct_weighting(self.cfg.b, self.cfg.channels().count());
         let kt = g.input(k.clone());
-        let pred_freq = g.matmul(fwd.predictions, kt);
+        let pred_freq = g.matmul(predictions, kt);
         let target_freq = target.tokens.matmul(&k);
         let rows = target.tokens.shape()[0];
         let mut weights = Tensor::zeros(&[rows, w.len()]);
@@ -590,12 +469,19 @@ impl Reconstructor {
         let scaled = g.scale(perceptual, lambda);
         g.add(l1, scaled)
     }
+}
 
-    /// Runs backward for a loss node (thin wrapper so callers don't touch
-    /// the graph API).
-    pub fn backward(&self, g: &Graph<'_>, loss: Var) -> Gradients {
-        g.backward(loss)
-    }
+/// Splits `[batch * seq, dim]` centred predictions into per-patch token
+/// lists with values back in `[0, 1]`.
+fn to_patches(out: &[f32], seq: usize, dim: usize) -> Vec<Vec<Vec<f32>>> {
+    out.chunks_exact(seq * dim)
+        .map(|patch| {
+            patch
+                .chunks_exact(dim)
+                .map(|row| row.iter().map(|&v| (v + 0.5).clamp(0.0, 1.0)).collect())
+                .collect()
+        })
+        .collect()
 }
 
 /// The sub-patch DCT operator `K` (`token_dim × token_dim`, channel
@@ -698,8 +584,8 @@ mod tests {
         let batch = random_batch(&cfg, 3, 1);
         let mask = mask_for(&cfg, 2);
         let mut g = Graph::new(model.params());
-        let fwd = model.forward(&mut g, &batch, &mask);
-        let out = g.value(fwd.predictions);
+        let predictions = model.forward(&mut g, &batch, &mask);
+        let out = g.value(predictions);
         assert_eq!(out.shape(), &[3 * cfg.seq_len(), cfg.token_dim()]);
         assert!(out.data().iter().all(|v| v.is_finite()));
     }
@@ -729,10 +615,10 @@ mod tests {
         let batch = random_batch(&cfg, 2, 5);
         let mask = mask_for(&cfg, 7);
         let mut g = Graph::new(model.params());
-        let fwd = model.forward(&mut g, &batch, &mask);
-        let loss = model.loss(&mut g, &fwd, &batch, 0.3);
+        let predictions = model.forward(&mut g, &batch, &mask);
+        let loss = model.loss(&mut g, predictions, &batch, 0.3);
         assert!(g.value(loss).item().is_finite());
-        let grads = model.backward(&g, loss);
+        let grads = g.backward(loss);
         assert_eq!(grads.len(), model.params().len(), "every parameter should get gradients");
     }
 

@@ -1,20 +1,21 @@
 //! Cached decode plans: the mask-derived index structures a transformer
 //! forward needs, computed once per effective mask instead of per call.
 //!
-//! [`Reconstructor::forward`](crate::Reconstructor::forward) used to rebuild
-//! the kept-position list, the encoder gather rows and the decoder
-//! scatter/compose map on every call — per *container*, even though fleets
-//! of edge senders share a handful of masks (that sharing is exactly what
-//! [`EaszDecoder::decode_batch`](crate::EaszDecoder::decode_batch) groups
-//! by). A [`DecodePlan`] hoists those structures out of the hot path: built
-//! once per effective mask, it serves every container and every batch size
-//! that mask ever decodes with, and the position→rank table it carries
-//! replaces the `O(seq · log m)` binary-search loop the scatter map was
-//! built with.
+//! Fleets of edge senders share a handful of masks (that sharing is exactly
+//! what [`EaszDecoder::decode_batch`](crate::EaszDecoder::decode_batch)
+//! groups by), so the kept-position list, the encoder gather rows and the
+//! decoder scatter/compose map would otherwise be rebuilt per container for
+//! the same few masks. A [`DecodePlan`] hoists those structures out of the
+//! hot path: built once per effective mask, it serves every container under
+//! that mask and memoises the maps of the last few batch sizes, and the
+//! position→rank table it carries builds the compose map in `O(seq)`.
+//! Every forward reads its maps from a plan — the decoder's, the
+//! [`MultiMaskPlan`] of a mixed group, and the training tape's
+//! [`Reconstructor::forward`](crate::Reconstructor::forward) alike — so the
+//! maps are defined in this module only.
 
 use crate::mask::EraseMask;
 use easz_tensor::ScratchArena;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Precomputed index structures for reconstructing under one effective
@@ -22,7 +23,8 @@ use std::sync::{Arc, Mutex};
 ///
 /// Geometry-only — no dependency on the model weights or batch contents —
 /// so one plan is shared freely across threads and containers. Per-batch-
-/// size row maps are derived lazily and memoised inside the plan.
+/// size row maps are derived lazily, and those of the most recent few batch
+/// sizes are memoised inside the plan.
 #[derive(Debug)]
 pub struct DecodePlan {
     /// Tokens per patch (`grid²`).
@@ -33,8 +35,9 @@ pub struct DecodePlan {
     /// erased. Replaces per-position binary search when building scatter
     /// maps.
     rank_of: Vec<Option<usize>>,
-    /// Batch-size-keyed gather/compose maps, built on first use.
-    maps: Mutex<HashMap<usize, Arc<BatchMaps>>>,
+    /// Batch-size-keyed gather/compose maps, built on first use, oldest
+    /// first.
+    maps: Mutex<Vec<(usize, Arc<BatchMaps>)>>,
 }
 
 /// The per-batch-size row maps of a [`DecodePlan`]: everything the forward
@@ -50,6 +53,12 @@ pub struct BatchMaps {
 }
 
 impl DecodePlan {
+    /// Batch sizes whose maps stay memoised; the oldest is evicted beyond
+    /// this. A uniform group's batch size is its total patch count, which
+    /// clients set through canvas size and window packing, so the memo must
+    /// not grow with what they send.
+    const MAX_BATCH_SIZES: usize = 16;
+
     /// Builds the plan for one effective mask.
     ///
     /// # Panics
@@ -66,7 +75,7 @@ impl DecodePlan {
         for (rank, &p) in kept.iter().enumerate() {
             rank_of[p] = Some(rank);
         }
-        Self { seq, kept, rank_of, maps: Mutex::new(HashMap::new()) }
+        Self { seq, kept, rank_of, maps: Mutex::new(Vec::new()) }
     }
 
     /// Tokens per patch this plan was built for.
@@ -87,12 +96,22 @@ impl DecodePlan {
     /// The gather/compose maps for a batch of `bsz` patches (memoised).
     pub fn maps_for(&self, bsz: usize) -> Arc<BatchMaps> {
         let mut maps = self.maps.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(m) = maps.get(&bsz) {
+        if let Some((_, m)) = maps.iter().find(|(size, _)| *size == bsz) {
             return Arc::clone(m);
         }
         let m = Arc::new(self.build_maps(bsz));
-        maps.insert(bsz, Arc::clone(&m));
+        if maps.len() >= Self::MAX_BATCH_SIZES {
+            maps.remove(0);
+        }
+        maps.push((bsz, Arc::clone(&m)));
         m
+    }
+
+    /// The row view of a forward over `maps` (built by this plan): the
+    /// encoder's positional rows are the kept positions, one `[m, d]` block
+    /// broadcast over the batch.
+    pub(crate) fn rows<'a>(&'a self, maps: &'a BatchMaps) -> RowMaps<'a> {
+        RowMaps { kept_rows: &maps.kept_rows, pos_rows: &self.kept, compose: &maps.compose }
     }
 
     fn build_maps(&self, bsz: usize) -> BatchMaps {
@@ -210,6 +229,26 @@ impl MultiMaskPlan {
     pub fn compose(&self) -> &[Option<usize>] {
         &self.compose
     }
+
+    /// The row view of a forward over this plan's patches.
+    pub(crate) fn rows(&self) -> RowMaps<'_> {
+        RowMaps { kept_rows: &self.kept_rows, pos_rows: &self.pos_rows, compose: &self.compose }
+    }
+}
+
+/// The index lists one transformer forward reads, borrowed from the plan
+/// that built them: a uniform group's [`DecodePlan`] or a mixed group's
+/// [`MultiMaskPlan`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowMaps<'a> {
+    /// Encoder input gather rows inside the `[batch * seq, dim]` tokens.
+    pub kept_rows: &'a [usize],
+    /// `enc_pos` rows added to the encoder input: `[m]` broadcast over the
+    /// batch, or `[batch * m]`, one block per patch.
+    pub pos_rows: &'a [usize],
+    /// Decoder compose map: `Some(row)` scatters encoder output row `row`,
+    /// `None` fills the learned mask token.
+    pub compose: &'a [Option<usize>],
 }
 
 /// A bounded, mask-keyed cache of [`DecodePlan`]s shared by all decode
@@ -331,6 +370,21 @@ mod tests {
                 assert_eq!(a.compose[bi * plan.seq() + p], Some(bi * m + rank));
             }
         }
+    }
+
+    #[test]
+    fn batch_size_memo_stays_bounded() {
+        // Batch sizes come from what clients send; sweeping them under one
+        // mask must not pin a map per size.
+        let plan = DecodePlan::new(&EaszConfig::default().make_mask());
+        let n = 4 * DecodePlan::MAX_BATCH_SIZES;
+        for bsz in 1..=n {
+            assert_eq!(plan.maps_for(bsz).compose.len(), bsz * plan.seq());
+        }
+        assert_eq!(plan.maps.lock().expect("memo").len(), DecodePlan::MAX_BATCH_SIZES);
+        let recent = plan.maps_for(n);
+        assert!(Arc::ptr_eq(&recent, &plan.maps_for(n)), "a memoised size must share one map");
+        assert_eq!(plan.maps.lock().expect("memo").len(), DecodePlan::MAX_BATCH_SIZES);
     }
 
     #[test]

@@ -146,10 +146,10 @@ impl Trainer {
                     .generate(self.rng.gen());
             let loss = {
                 let mut g = Graph::new(self.model.params());
-                let fwd = self.model.forward(&mut g, &batch, &mask);
-                let loss = self.model.loss(&mut g, &fwd, &batch, self.cfg.lambda);
+                let predictions = self.model.forward(&mut g, &batch, &mask);
+                let loss = self.model.loss(&mut g, predictions, &batch, self.cfg.lambda);
                 let value = g.value(loss).item();
-                let grads = self.model.backward(&g, loss);
+                let grads = g.backward(loss);
                 self.opt.step(self.model.params_mut(), &grads);
                 value
             };
@@ -347,10 +347,10 @@ impl ParallelTrainer {
                 let slice = &patches[si * per_shard..(si + 1) * per_shard];
                 let batch = TokenBatch::from_patches(slice);
                 let mut g = Graph::new(model.params());
-                let fwd = model.forward(&mut g, &batch, &mask);
-                let loss = model.loss(&mut g, &fwd, &batch, lambda);
+                let predictions = model.forward(&mut g, &batch, &mask);
+                let loss = model.loss(&mut g, predictions, &batch, lambda);
                 let value = g.value(loss).item();
-                let grads = model.backward(&g, loss);
+                let grads = g.backward(loss);
                 *results[si].lock().expect("shard slot") = Some((value, grads));
             };
             let chunks = self.workers.min(shards);

@@ -8,9 +8,11 @@
 //! The op set is exactly what the Easz reconstruction transformer needs:
 //! (batched) matmul, broadcast adds, layer norm, softmax, GELU, token
 //! scatter/gather for the erased-position decoder input, and the training
-//! losses (L1 and a frequency-weighted perceptual term).
+//! losses (L1 and a frequency-weighted perceptual term). `Graph` implements
+//! [`Executor`], so the `nn` layers' one `forward` records onto it.
 
 use crate::kernels::{gelu_bwd, gelu_fwd};
+use crate::nn::Executor;
 use crate::params::{ParamId, ParamSet};
 use crate::tensor::{inverse_permutation, Tensor};
 use std::collections::HashMap;
@@ -654,6 +656,81 @@ impl<'p> Graph<'p> {
         }
         out
     }
+}
+
+/// The tape executor: each op records the nodes of the inherent ops it is
+/// made of (e.g. `linear` = the `w` and `b` param nodes, `matmul`,
+/// `add_broadcast_rows`), and [`free`](Executor::free) is a no-op because
+/// every node stays on the tape for [`Graph::backward`].
+impl Executor for Graph<'_> {
+    type Value = Var;
+
+    fn linear(&mut self, x: &Var, w: ParamId, b: ParamId) -> Var {
+        let w = self.param(w);
+        let b = self.param(b);
+        let y = self.matmul(*x, w);
+        self.add_broadcast_rows(y, b)
+    }
+
+    fn layer_norm(&mut self, x: &Var, gamma: ParamId, beta: ParamId, eps: f32) -> Var {
+        let gamma = self.param(gamma);
+        let beta = self.param(beta);
+        self.layer_norm(*x, gamma, beta, eps)
+    }
+
+    fn gelu(&mut self, x: Var) -> Var {
+        self.gelu(x)
+    }
+
+    fn scale(&mut self, x: Var, s: f32) -> Var {
+        self.scale(x, s)
+    }
+
+    fn softmax(&mut self, x: Var) -> Var {
+        self.softmax(x)
+    }
+
+    fn add(&mut self, x: Var, h: Var) -> Var {
+        self.add(x, h)
+    }
+
+    fn reshape(&mut self, x: Var, shape: &[usize]) -> Var {
+        self.reshape(x, shape)
+    }
+
+    fn permute(&mut self, x: Var, axes: &[usize]) -> Var {
+        self.permute(x, axes)
+    }
+
+    fn batch_matmul(&mut self, a: Var, b: Var) -> Var {
+        self.batch_matmul(a, b)
+    }
+
+    fn gather_input(&mut self, src: &Tensor, rows: &[usize]) -> Var {
+        let src = self.input(src.clone());
+        self.gather_rows(src, rows)
+    }
+
+    fn gather_param(&mut self, id: ParamId, rows: &[usize]) -> Var {
+        let src = self.param(id);
+        self.gather_rows(src, rows)
+    }
+
+    fn add_rows(&mut self, x: Var, rows: Var) -> Var {
+        self.add_broadcast_rows(x, rows)
+    }
+
+    fn add_param_rows(&mut self, x: Var, id: ParamId) -> Var {
+        let rows = self.param(id);
+        self.add_broadcast_rows(x, rows)
+    }
+
+    fn compose_tokens(&mut self, src: Var, fill: ParamId, map: &[Option<usize>]) -> Var {
+        let fill = self.param(fill);
+        self.compose_tokens(src, fill, map)
+    }
+
+    fn free(&mut self, _: Var) {}
 }
 
 fn accumulate(grads: &mut [Option<Tensor>], v: Var, g: &Tensor) {

@@ -9,18 +9,20 @@
 //! * [`ScratchArena`] — a pool of reusable `f32` buffers. After the first
 //!   forward warms it up, repeated forwards of the same shape perform **no
 //!   allocations at all**; the arena exposes counters so tests can prove it.
-//! * [`InferenceSession`] — executes the same op vocabulary as `Graph`
-//!   (matmul, broadcast adds, layer norm, softmax, GELU, permute, token
+//! * [`InferenceSession`] — implements the same [`Executor`] as `Graph`
+//!   (linear, layer norm, softmax, GELU, permute, batched matmul, token
 //!   gather/compose) but forward-only: activations like GELU and softmax
 //!   mutate their buffer in place, parameters are **borrowed** from the
 //!   [`ParamSet`] instead of cloned, and nothing is retained between ops.
 //!
-//! Outputs are **byte-identical** to the `Graph` path: both engines call
-//! the very same kernels ([`crate::kernels`], [`crate::parallel`]) in the
-//! same floating-point operation order, so `assert_eq!` on bit patterns
-//! holds across engines (the workspace equivalence sweep enforces this).
+//! Outputs are **byte-identical** to the `Graph` path: every layer has one
+//! `forward`, generic over the executor, so both engines run the same op
+//! sequence, and each op calls the very same kernels ([`crate::kernels`],
+//! [`crate::parallel`]) in the same floating-point operation order. The
+//! workspace equivalence sweep checks it end to end.
 
 use crate::kernels;
+use crate::nn::Executor;
 use crate::params::{ParamId, ParamSet};
 use crate::quant::{QuantizedMatrix, QuantizedParams};
 use crate::tensor::Tensor;
@@ -225,11 +227,12 @@ impl ScratchArena {
     }
 }
 
-/// A forward-only executor over a [`ParamSet`] with arena-backed buffers.
+/// A forward-only [`Executor`] over a [`ParamSet`] with arena-backed
+/// buffers.
 ///
-/// Mirrors the [`Graph`](crate::Graph) op vocabulary minus the losses, with
-/// the same floating-point operation order per op; see the module docs for
-/// the byte-identity contract.
+/// Runs the same layer `forward`s as the [`Graph`](crate::Graph), with the
+/// same floating-point operation order per op; see the module docs for the
+/// byte-identity contract.
 ///
 /// ```
 /// use easz_tensor::{init, nn, InferenceSession, ParamSet, ScratchArena, Tensor};
@@ -239,7 +242,7 @@ impl ScratchArena {
 /// let mut arena = ScratchArena::new();
 /// let mut s = InferenceSession::new(&params, &mut arena);
 /// let x = s.copy_in(&Tensor::zeros(&[2, 4]));
-/// let y = lin.infer(&mut s, &x);
+/// let y = lin.forward(&mut s, &x);
 /// assert_eq!(y.shape(), &[2, 3]);
 /// s.free(x);
 /// s.free(y);
@@ -282,11 +285,6 @@ impl<'p, 'a> InferenceSession<'p, 'a> {
     /// quantized tier and the id was quantized.
     pub fn quantized(&self, id: ParamId) -> Option<&'p QuantizedMatrix> {
         self.quant.and_then(|q| q.get(id))
-    }
-
-    /// Whether this session runs the quantized int8 tier.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
     }
 
     /// Returns a dead intermediate's buffer to the arena.
@@ -520,10 +518,117 @@ impl<'p, 'a> InferenceSession<'p, 'a> {
     }
 }
 
+/// The arena executor: dead operands go back to the arena right after the
+/// op that consumed them, and activations run in place where the op allows.
+impl Executor for InferenceSession<'_, '_> {
+    type Value = ScratchTensor;
+
+    /// In a quantized session with `w` in the table, the product runs
+    /// through the int8 kernel and the output (after the f32 bias add) is
+    /// rounded to f16 precision — the quantized tier's inter-layer
+    /// activation contract. Otherwise this is the bit-exact f32 path.
+    fn linear(&mut self, x: &ScratchTensor, w: ParamId, b: ParamId) -> ScratchTensor {
+        let b = self.param(b);
+        if let Some(qw) = self.quantized(w) {
+            let mut y = self.qmatmul(x, qw);
+            self.add_broadcast_rows(&mut y, b);
+            self.f16_round_in_place(&mut y);
+            return y;
+        }
+        let mut y = self.matmul(x, self.param(w));
+        self.add_broadcast_rows(&mut y, b);
+        y
+    }
+
+    fn layer_norm(
+        &mut self,
+        x: &ScratchTensor,
+        gamma: ParamId,
+        beta: ParamId,
+        eps: f32,
+    ) -> ScratchTensor {
+        self.layer_norm(x, self.param(gamma), self.param(beta), eps)
+    }
+
+    fn gelu(&mut self, mut x: ScratchTensor) -> ScratchTensor {
+        self.gelu_in_place(&mut x);
+        x
+    }
+
+    fn scale(&mut self, mut x: ScratchTensor, s: f32) -> ScratchTensor {
+        self.scale_in_place(&mut x, s);
+        x
+    }
+
+    fn softmax(&mut self, mut x: ScratchTensor) -> ScratchTensor {
+        self.softmax_in_place(&mut x);
+        x
+    }
+
+    /// Sums into `h`'s buffer and recycles `x`'s.
+    fn add(&mut self, x: ScratchTensor, mut h: ScratchTensor) -> ScratchTensor {
+        self.add_assign(&mut h, &x);
+        self.free(x);
+        h
+    }
+
+    fn reshape(&mut self, mut x: ScratchTensor, shape: &[usize]) -> ScratchTensor {
+        x.reshape(shape);
+        x
+    }
+
+    fn permute(&mut self, x: ScratchTensor, axes: &[usize]) -> ScratchTensor {
+        let out = self.permute(&x, axes);
+        self.free(x);
+        out
+    }
+
+    fn batch_matmul(&mut self, a: ScratchTensor, b: ScratchTensor) -> ScratchTensor {
+        let out = self.batch_matmul(&a, &b);
+        self.free(a);
+        self.free(b);
+        out
+    }
+
+    fn gather_input(&mut self, src: &Tensor, rows: &[usize]) -> ScratchTensor {
+        self.gather_rows(src, rows)
+    }
+
+    fn gather_param(&mut self, id: ParamId, rows: &[usize]) -> ScratchTensor {
+        self.gather_rows(self.param(id), rows)
+    }
+
+    fn add_rows(&mut self, mut x: ScratchTensor, rows: ScratchTensor) -> ScratchTensor {
+        self.add_broadcast_rows(&mut x, &rows);
+        self.free(rows);
+        x
+    }
+
+    fn add_param_rows(&mut self, mut x: ScratchTensor, id: ParamId) -> ScratchTensor {
+        self.add_broadcast_rows(&mut x, self.param(id));
+        x
+    }
+
+    fn compose_tokens(
+        &mut self,
+        src: ScratchTensor,
+        fill: ParamId,
+        map: &[Option<usize>],
+    ) -> ScratchTensor {
+        let out = self.compose_tokens(&src, self.param(fill), map);
+        self.free(src);
+        out
+    }
+
+    fn free(&mut self, x: ScratchTensor) {
+        self.arena.put(x.data);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
+    use crate::graph::{Graph, Var};
     use crate::{init, nn};
 
     fn seeded(shape: &[usize], seed: u64) -> Tensor {
@@ -559,7 +664,7 @@ mod tests {
         let mut arena = ScratchArena::new();
         let mut s = InferenceSession::new(&p, &mut arena);
         let x = s.copy_in(&input);
-        let y = block.infer(&mut s, x, 3, 6);
+        let y = block.forward(&mut s, x, 3, 6);
         assert_eq!(bits(&tape), bits(y.data()), "tape vs tape-free must match bit-for-bit");
         s.free(y);
     }
@@ -574,7 +679,7 @@ mod tests {
         let run = |arena: &mut ScratchArena| {
             let mut s = InferenceSession::new(&p, arena);
             let x = s.copy_in(&input);
-            let y = block.infer(&mut s, x, 2, 4);
+            let y = block.forward(&mut s, x, 2, 4);
             s.free(y);
         };
         run(&mut arena);
@@ -587,35 +692,121 @@ mod tests {
         assert_eq!(arena.allocated_bytes(), bytes, "steady state must not allocate bytes");
     }
 
+    /// One op's output as `(shape, bits)`.
+    type Reading = (Vec<usize>, Vec<u32>);
+
+    /// Calls every [`Executor`] method once on `[rows, width]` inputs and
+    /// returns each output by method name; every value is freed after it is
+    /// read. `ids` are `[w, b, gamma, beta, pos, fill]` with `pos` holding
+    /// `block` rows. Consumed operands are fresh row gathers of `x` or `y`.
+    fn every_op<E: Executor>(
+        e: &mut E,
+        read: impl Fn(&E, &E::Value) -> Reading,
+        [w, b, gamma, beta, pos, fill]: [ParamId; 6],
+        (x, y): (&Tensor, &Tensor),
+        block: usize,
+    ) -> Vec<(&'static str, Reading)> {
+        let (rows, width) = (x.shape()[0], x.shape()[1]);
+        let shuffled: Vec<usize> = (0..rows).map(|i| (i * 5 + 3) % rows).collect();
+        let reversed: Vec<usize> = (0..block).rev().collect();
+        let map: Vec<Option<usize>> =
+            (0..rows + 2).map(|i| (i % 3 != 1).then_some(i * 7 % rows)).collect();
+        let mut out = Vec::new();
+        let mut keep = |e: &mut E, name: &'static str, v: E::Value| {
+            out.push((name, read(e, &v)));
+            e.free(v);
+        };
+        let a = e.gather_input(x, &shuffled);
+        let v = e.linear(&a, w, b);
+        keep(e, "linear", v);
+        let v = e.layer_norm(&a, gamma, beta, 1e-5);
+        keep(e, "layer_norm", v);
+        keep(e, "gather_input", a);
+        let v = e.gather_input(x, &shuffled);
+        let v = e.gelu(v);
+        keep(e, "gelu", v);
+        let v = e.gather_input(x, &shuffled);
+        let v = e.scale(v, 0.37);
+        keep(e, "scale", v);
+        let v = e.gather_input(x, &shuffled);
+        let v = e.softmax(v);
+        keep(e, "softmax", v);
+        let (v, h) = (e.gather_input(x, &shuffled), e.gather_input(y, &shuffled));
+        let v = e.add(v, h);
+        keep(e, "add", v);
+        let v = e.gather_param(pos, &reversed);
+        keep(e, "gather_param", v);
+        let (v, p) = (e.gather_input(x, &shuffled), e.gather_param(pos, &reversed));
+        let v = e.add_rows(v, p);
+        keep(e, "add_rows", v);
+        let v = e.gather_input(y, &shuffled);
+        let v = e.add_param_rows(v, pos);
+        keep(e, "add_param_rows", v);
+        let v = e.gather_input(y, &shuffled);
+        let v = e.compose_tokens(v, fill, &map);
+        keep(e, "compose_tokens", v);
+        let v = e.gather_input(x, &shuffled);
+        let v = e.reshape(v, &[width, rows]);
+        keep(e, "reshape", v);
+        let v = e.gather_input(y, &shuffled);
+        let v = e.permute(v, &[1, 0]);
+        keep(e, "permute", v);
+        // Attention scores: [1, rows, width] x [1, width, rows].
+        let q = e.gather_input(x, &shuffled);
+        let q = e.reshape(q, &[1, rows, width]);
+        let k = e.gather_input(y, &shuffled);
+        let k = e.reshape(k, &[1, rows, width]);
+        let k = e.permute(k, &[0, 2, 1]);
+        let v = e.batch_matmul(q, k);
+        keep(e, "batch_matmul", v);
+        out
+    }
+
     #[test]
     fn session_ops_match_graph_ops_bitwise() {
-        // Each op in isolation, not just the composed block.
-        let mut p = ParamSet::new();
-        let gamma = p.add("gamma", Tensor::full(&[5], 1.3));
-        let beta = p.add("beta", Tensor::full(&[5], -0.2));
-        let x = seeded(&[4, 5], 21);
-        let pos = seeded(&[2, 5], 22);
+        // Each executor method in isolation on ragged shapes (rows 1, 7 and
+        // 33; widths and block sizes off the 8-lane kernel tiles), not just
+        // the composed block.
+        for (case, (rows, width, block)) in
+            [(1usize, 5usize, 1usize), (7, 13, 7), (33, 19, 11)].into_iter().enumerate()
+        {
+            let seed = 40 + 10 * case as u64;
+            let mut p = ParamSet::new();
+            let ids = [
+                p.add("w", seeded(&[width, width + 2], seed)),
+                p.add("b", seeded(&[1, width + 2], seed + 1)),
+                p.add("gamma", seeded(&[width], seed + 2)),
+                p.add("beta", seeded(&[width], seed + 3)),
+                p.add("pos", seeded(&[block, width], seed + 4)),
+                p.add("fill", seeded(&[1, width], seed + 5)),
+            ];
+            let (x, y) = (seeded(&[rows, width], seed + 6), seeded(&[rows, width], seed + 7));
 
-        let mut g = Graph::new(&p);
-        let xv = g.input(x.clone());
-        let pv = g.input(pos.clone());
-        let (gv, bv) = (g.param(gamma), g.param(beta));
-        let a = g.add_broadcast_rows(xv, pv);
-        let b = g.layer_norm(a, gv, bv, 1e-5);
-        let c = g.gelu(b);
-        let d = g.softmax(c);
-        let tape = g.value(d).data().to_vec();
+            let mut g = Graph::new(&p);
+            let read = |g: &Graph<'_>, v: &Var| {
+                let t = g.value(*v);
+                (t.shape().to_vec(), bits(t.data()))
+            };
+            let tape = every_op(&mut g, read, ids, (&x, &y), block);
+            assert_eq!(tape.len(), 14, "one reading per value-producing method");
 
-        let mut arena = ScratchArena::new();
-        let mut s = InferenceSession::new(&p, &mut arena);
-        let mut a = s.copy_in(&x);
-        s.add_broadcast_rows(&mut a, &pos);
-        let mut b = s.layer_norm(&a, s.param(gamma), s.param(beta), 1e-5);
-        s.free(a);
-        s.gelu_in_place(&mut b);
-        s.softmax_in_place(&mut b);
-        assert_eq!(bits(&tape), bits(b.data()));
-        s.free(b);
+            let mut arena = ScratchArena::new();
+            let read = |_: &InferenceSession<'_, '_>, v: &ScratchTensor| {
+                (v.shape().to_vec(), bits(v.data()))
+            };
+            let run = |arena: &mut ScratchArena| {
+                every_op(&mut InferenceSession::new(&p, arena), read, ids, (&x, &y), block)
+            };
+            let free = run(&mut arena);
+            for ((op, t), (_, f)) in tape.iter().zip(&free) {
+                assert_eq!(t, f, "{op} diverges at rows={rows} width={width}");
+            }
+            // `free` returned every buffer: a second pass leases, never
+            // allocates.
+            let allocated = (arena.allocated_buffers(), arena.allocated_bytes());
+            assert_eq!(run(&mut arena), free, "session ops must be deterministic");
+            assert_eq!((arena.allocated_buffers(), arena.allocated_bytes()), allocated);
+        }
     }
 
     #[test]
@@ -632,7 +823,7 @@ mod tests {
         let mut arena = ScratchArena::new();
         let mut s = InferenceSession::new(&p, &mut arena);
         let x = s.copy_in(&input);
-        let y = block.infer(&mut s, x, 3, 6);
+        let y = block.forward(&mut s, x, 3, 6);
         let reference = y.data().to_vec();
         s.free(y);
 
@@ -640,9 +831,8 @@ mod tests {
         let mut arena = ScratchArena::new();
         let run = |arena: &mut ScratchArena| {
             let mut s = InferenceSession::with_quantized(&p, &q, arena);
-            assert!(s.is_quantized());
             let x = s.copy_in(&input);
-            let y = block.infer(&mut s, x, 3, 6);
+            let y = block.forward(&mut s, x, 3, 6);
             let out = y.data().to_vec();
             s.free(y);
             out

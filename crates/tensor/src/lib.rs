@@ -10,30 +10,45 @@
 //!
 //! * [`Tensor`] — dense row-major storage plus the raw kernels (matmul,
 //!   batched matmul, permutation) with thread-parallel inner loops.
-//! * [`Graph`] — a tape-based autodiff engine over a fixed op vocabulary
-//!   (matmul, layer norm, softmax, GELU, token scatter/gather, losses).
-//! * [`InferenceSession`] / [`ScratchArena`] — the tape-free *inference*
-//!   engine: the same op vocabulary executed forward-only with in-place
-//!   activations and preallocated, reusable buffers. Byte-identical to the
-//!   `Graph` path (both call the same kernels in the same order).
-//! * [`nn`] — `Linear`, `LayerNorm`, `MultiHeadAttention`, `FeedForward`
-//!   and `TransformerBlock` layers mirroring Fig. 5 of the paper.
+//! * [`nn`] — the [`Executor`](nn::Executor) trait (the op vocabulary the
+//!   transformer is written in) and `Linear`, `LayerNorm`,
+//!   `MultiHeadAttention`, `FeedForward` and `TransformerBlock` layers
+//!   mirroring Fig. 5 of the paper, each with one `forward` generic over the
+//!   executor.
+//! * [`Graph`] — the tape executor: a tape-based autodiff engine that records
+//!   each op for a backward pass, plus the training losses.
+//! * [`InferenceSession`] / [`ScratchArena`] — the arena executor: the same
+//!   forwards run forward-only with in-place activations and preallocated,
+//!   reusable buffers, optionally on an int8 tier. On the f32 tier it is
+//!   byte-identical to the `Graph` (one definition, the same kernels in the
+//!   same order).
 //! * [`AdamW`] — decoupled weight decay Adam with optional gradient clipping.
 //! * [`io`](crate::load_params) — a tiny binary weight format used for the
 //!   paper's model-size accounting (the 8.7 MB claim) and for caching
 //!   pretrained weights.
 //!
 //! ```
-//! use easz_tensor::{Graph, ParamSet, Tensor, init, nn};
+//! use easz_tensor::{init, nn, Graph, InferenceSession, ParamSet, ScratchArena, Tensor};
 //!
 //! # fn main() {
 //! let mut params = ParamSet::new();
 //! let mut rng = init::rng(42);
 //! let block = nn::TransformerBlock::new(&mut params, &mut rng, "blk", 16, 4, 32);
+//! let tokens = init::uniform(&mut rng, &[2 * 8, 16], -1.0, 1.0); // 2 patches x 8 tokens
+//!
+//! // Training: the forward records onto a tape.
 //! let mut graph = Graph::new(&params);
-//! let tokens = graph.input(Tensor::zeros(&[2 * 8, 16])); // 2 patches x 8 tokens
-//! let out = block.forward(&mut graph, tokens, 2, 8);
-//! assert_eq!(graph.value(out).shape(), &[16, 16]);
+//! let x = graph.input(tokens.clone());
+//! let taped = block.forward(&mut graph, x, 2, 8);
+//! assert_eq!(graph.value(taped).shape(), &[16, 16]);
+//!
+//! // Inference: the same forward on arena buffers, bit for bit.
+//! let mut arena = ScratchArena::new();
+//! let mut session = InferenceSession::new(&params, &mut arena);
+//! let x = session.copy_in(&tokens);
+//! let out = block.forward(&mut session, x, 2, 8);
+//! assert_eq!(out.data(), graph.value(taped).data());
+//! session.free(out);
 //! # }
 //! ```
 

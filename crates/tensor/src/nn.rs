@@ -1,17 +1,77 @@
-//! Neural-network building blocks assembled from [`Graph`] ops.
+//! Neural-network building blocks written once over an [`Executor`].
 //!
 //! Each layer registers its parameters in a [`ParamSet`] at construction and
-//! replays its computation onto a fresh [`Graph`] per forward pass. The
+//! has exactly one `forward`, generic over the executor that runs it: the
+//! autodiff [`Graph`](crate::Graph) records the ops on a tape for training,
+//! and the [`InferenceSession`](crate::InferenceSession) runs them
+//! forward-only on arena buffers. Tape and tape-free outputs are therefore
+//! the same definition, not two implementations held equal by a test. The
 //! blocks mirror Fig. 5 of the paper: a transformer block holds an attention
 //! layer and a feed-forward layer wrapped in layer norms with residual
 //! connections.
 
-use crate::graph::{Graph, Var};
-use crate::infer::{InferenceSession, ScratchTensor};
 use crate::init;
 use crate::params::{ParamId, ParamSet};
 use crate::quant::QuantizedParams;
+use crate::tensor::Tensor;
 use rand::rngs::StdRng;
+
+/// The op vocabulary the transformer layers are written in.
+///
+/// Ownership follows liveness: an operand that dies at the op is passed by
+/// value, so the arena executor can recycle its buffer (the tape executor
+/// ignores that, since [`Var`](crate::Var) is `Copy`); an operand that is
+/// still live afterwards is borrowed. The order in which a forward calls
+/// these methods is the order the session leases and frees buffers and the
+/// order the tape records nodes, so both are part of the numeric contract.
+pub trait Executor {
+    /// A value flowing between ops: a tape handle or an arena buffer.
+    type Value;
+    /// `x W + b` with the layer's `(w, b)` parameters. A session holding an
+    /// int8 form of `w` runs the quantized kernel and rounds the output to
+    /// f16 precision.
+    fn linear(&mut self, x: &Self::Value, w: ParamId, b: ParamId) -> Self::Value;
+    /// Layer norm over the last axis with `(gamma, beta)` parameters.
+    fn layer_norm(
+        &mut self,
+        x: &Self::Value,
+        gamma: ParamId,
+        beta: ParamId,
+        eps: f32,
+    ) -> Self::Value;
+    /// GELU activation (tanh approximation).
+    fn gelu(&mut self, x: Self::Value) -> Self::Value;
+    /// Multiplies by a constant.
+    fn scale(&mut self, x: Self::Value, s: f32) -> Self::Value;
+    /// Softmax over the last axis.
+    fn softmax(&mut self, x: Self::Value) -> Self::Value;
+    /// Residual sum `x + h` of two same-shaped values.
+    fn add(&mut self, x: Self::Value, h: Self::Value) -> Self::Value;
+    /// Row-major reshape (element order preserved).
+    fn reshape(&mut self, x: Self::Value, shape: &[usize]) -> Self::Value;
+    /// Axis permutation.
+    fn permute(&mut self, x: Self::Value, axes: &[usize]) -> Self::Value;
+    /// Rank-3 batched matrix product.
+    fn batch_matmul(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
+    /// Rows of an external rank-2 tensor: `out[i] = src[rows[i]]`.
+    fn gather_input(&mut self, src: &Tensor, rows: &[usize]) -> Self::Value;
+    /// Rows of a rank-2 parameter: `out[i] = param[rows[i]]`.
+    fn gather_param(&mut self, id: ParamId, rows: &[usize]) -> Self::Value;
+    /// `x[r, d] + rows[s, d]` with `rows` tiled over blocks of `s` rows.
+    fn add_rows(&mut self, x: Self::Value, rows: Self::Value) -> Self::Value;
+    /// [`add_rows`](Self::add_rows) with a rank-2 parameter as the rows.
+    fn add_param_rows(&mut self, x: Self::Value, id: ParamId) -> Self::Value;
+    /// Token matrix from encoder rows and a learned fill row: `map[i] =
+    /// Some(j)` copies row `j` of `src`, `None` the single row of `fill`.
+    fn compose_tokens(
+        &mut self,
+        src: Self::Value,
+        fill: ParamId,
+        map: &[Option<usize>],
+    ) -> Self::Value;
+    /// Ends a value's life.
+    fn free(&mut self, x: Self::Value);
+}
 
 /// A dense affine layer `y = x W + b` on `[rows, in] -> [rows, out]`.
 #[derive(Debug, Clone)]
@@ -36,40 +96,13 @@ impl Linear {
         Self { w, b, in_dim, out_dim }
     }
 
-    /// Applies the layer.
+    /// Applies the layer (see [`Executor::linear`] for the quantized tier).
     ///
     /// # Panics
     ///
-    /// Panics (inside the graph ops) if `x` is not `[rows, in_dim]`.
-    pub fn forward(&self, g: &mut Graph<'_>, x: Var) -> Var {
-        debug_assert_eq!(g.value(x).shape()[1], self.in_dim);
-        let w = g.param(self.w);
-        let b = g.param(self.b);
-        let y = g.matmul(x, w);
-        g.add_broadcast_rows(y, b)
-    }
-
-    /// Applies the layer on the tape-free engine (byte-identical to
-    /// [`forward`](Self::forward); weights are borrowed, not cloned).
-    ///
-    /// In a quantized session with this layer's weight in the table, the
-    /// product runs through the int8 kernel and the output (after the f32
-    /// bias add) is rounded to f16 precision — the quantized tier's
-    /// inter-layer activation contract. Otherwise this is the bit-exact
-    /// f32 path.
-    pub fn infer(&self, s: &mut InferenceSession<'_, '_>, x: &ScratchTensor) -> ScratchTensor {
-        debug_assert_eq!(x.shape()[1], self.in_dim);
-        let b = s.param(self.b);
-        if let Some(qw) = s.quantized(self.w) {
-            let mut y = s.qmatmul(x, qw);
-            s.add_broadcast_rows(&mut y, b);
-            s.f16_round_in_place(&mut y);
-            return y;
-        }
-        let w = s.param(self.w);
-        let mut y = s.matmul(x, w);
-        s.add_broadcast_rows(&mut y, b);
-        y
+    /// Panics (inside the matmul) if `x` is not `[rows, in_dim]`.
+    pub fn forward<E: Executor>(&self, e: &mut E, x: &E::Value) -> E::Value {
+        e.linear(x, self.w, self.b)
     }
 
     /// Quantizes this layer's weight matrix into `out` (the bias stays
@@ -105,19 +138,10 @@ impl LayerNorm {
         Self { gamma, beta, eps: 1e-5 }
     }
 
-    /// Applies layer norm along the last axis.
-    pub fn forward(&self, g: &mut Graph<'_>, x: Var) -> Var {
-        let gamma = g.param(self.gamma);
-        let beta = g.param(self.beta);
-        g.layer_norm(x, gamma, beta, self.eps)
-    }
-
-    /// Tape-free layer norm into a fresh scratch buffer (the input stays
-    /// live for residual connections).
-    pub fn infer(&self, s: &mut InferenceSession<'_, '_>, x: &ScratchTensor) -> ScratchTensor {
-        let gamma = s.param(self.gamma);
-        let beta = s.param(self.beta);
-        s.layer_norm(x, gamma, beta, self.eps)
+    /// Applies layer norm along the last axis (the input stays live for
+    /// residual connections).
+    pub fn forward<E: Executor>(&self, e: &mut E, x: &E::Value) -> E::Value {
+        e.layer_norm(x, self.gamma, self.beta, self.eps)
     }
 }
 
@@ -162,82 +186,38 @@ impl MultiHeadAttention {
     /// Self-attention over `batch` sequences of `seq` tokens.
     ///
     /// `x` must be `[batch * seq, dim]`; the result has the same shape.
-    pub fn forward(&self, g: &mut Graph<'_>, x: Var, batch: usize, seq: usize) -> Var {
-        let (h, d) = (self.heads, self.dim);
-        let dh = d / h;
-        let q = self.q.forward(g, x);
-        let k = self.k.forward(g, x);
-        let v = self.v.forward(g, x);
-        // [B*S, D] -> [B, S, H, Dh] -> [B, H, S, Dh] -> [B*H, S, Dh]
-        let to_heads = |g: &mut Graph<'_>, t: Var| {
-            let t = g.reshape(t, &[batch, seq, h, dh]);
-            let t = g.permute(t, &[0, 2, 1, 3]);
-            g.reshape(t, &[batch * h, seq, dh])
-        };
-        let qh = to_heads(g, q);
-        let kh = to_heads(g, k);
-        let vh = to_heads(g, v);
-        let kt = g.permute(kh, &[0, 2, 1]);
-        let scores = g.batch_matmul(qh, kt);
-        let scores = g.scale(scores, 1.0 / (dh as f32).sqrt());
-        let attn = g.softmax(scores);
-        let ctx = g.batch_matmul(attn, vh);
-        // [B*H, S, Dh] -> [B, H, S, Dh] -> [B, S, H, Dh] -> [B*S, D]
-        let ctx = g.reshape(ctx, &[batch, h, seq, dh]);
-        let ctx = g.permute(ctx, &[0, 2, 1, 3]);
-        let ctx = g.reshape(ctx, &[batch * seq, d]);
-        self.o.forward(g, ctx)
-    }
-
-    /// Tape-free self-attention; scaling and softmax run in place on the
-    /// score buffer, head splits/merges reuse arena buffers.
-    pub fn infer(
+    /// Each projection is split into heads before the next one runs, so at
+    /// most one un-split projection is live at a time.
+    pub fn forward<E: Executor>(
         &self,
-        s: &mut InferenceSession<'_, '_>,
-        x: &ScratchTensor,
+        e: &mut E,
+        x: &E::Value,
         batch: usize,
         seq: usize,
-    ) -> ScratchTensor {
+    ) -> E::Value {
         let (h, d) = (self.heads, self.dim);
         let dh = d / h;
         // [B*S, D] -> [B, S, H, Dh] -> [B, H, S, Dh] -> [B*H, S, Dh]
-        fn to_heads(
-            s: &mut InferenceSession<'_, '_>,
-            mut t: ScratchTensor,
-            batch: usize,
-            seq: usize,
-            h: usize,
-            dh: usize,
-        ) -> ScratchTensor {
-            t.reshape(&[batch, seq, h, dh]);
-            let mut out = s.permute(&t, &[0, 2, 1, 3]);
-            s.free(t);
-            out.reshape(&[batch * h, seq, dh]);
-            out
-        }
-        let q = self.q.infer(s, x);
-        let qh = to_heads(s, q, batch, seq, h, dh);
-        let k = self.k.infer(s, x);
-        let kh = to_heads(s, k, batch, seq, h, dh);
-        let v = self.v.infer(s, x);
-        let vh = to_heads(s, v, batch, seq, h, dh);
-        let kt = s.permute(&kh, &[0, 2, 1]);
-        s.free(kh);
-        let mut scores = s.batch_matmul(&qh, &kt);
-        s.free(qh);
-        s.free(kt);
-        s.scale_in_place(&mut scores, 1.0 / (dh as f32).sqrt());
-        s.softmax_in_place(&mut scores);
-        let mut ctx = s.batch_matmul(&scores, &vh);
-        s.free(scores);
-        s.free(vh);
+        let to_heads = |e: &mut E, proj: &Linear| {
+            let t = proj.forward(e, x);
+            let t = e.reshape(t, &[batch, seq, h, dh]);
+            let t = e.permute(t, &[0, 2, 1, 3]);
+            e.reshape(t, &[batch * h, seq, dh])
+        };
+        let qh = to_heads(e, &self.q);
+        let kh = to_heads(e, &self.k);
+        let vh = to_heads(e, &self.v);
+        let kt = e.permute(kh, &[0, 2, 1]);
+        let scores = e.batch_matmul(qh, kt);
+        let scores = e.scale(scores, 1.0 / (dh as f32).sqrt());
+        let attn = e.softmax(scores);
+        let ctx = e.batch_matmul(attn, vh);
         // [B*H, S, Dh] -> [B, H, S, Dh] -> [B, S, H, Dh] -> [B*S, D]
-        ctx.reshape(&[batch, h, seq, dh]);
-        let mut merged = s.permute(&ctx, &[0, 2, 1, 3]);
-        s.free(ctx);
-        merged.reshape(&[batch * seq, d]);
-        let out = self.o.infer(s, &merged);
-        s.free(merged);
+        let ctx = e.reshape(ctx, &[batch, h, seq, dh]);
+        let ctx = e.permute(ctx, &[0, 2, 1, 3]);
+        let ctx = e.reshape(ctx, &[batch * seq, d]);
+        let out = self.o.forward(e, &ctx);
+        e.free(ctx);
         out
     }
 
@@ -273,19 +253,11 @@ impl FeedForward {
     }
 
     /// Applies `fc2(gelu(fc1(x)))`.
-    pub fn forward(&self, g: &mut Graph<'_>, x: Var) -> Var {
-        let h = self.fc1.forward(g, x);
-        let h = g.gelu(h);
-        self.fc2.forward(g, h)
-    }
-
-    /// Tape-free `fc2(gelu(fc1(x)))`; GELU mutates the hidden buffer in
-    /// place.
-    pub fn infer(&self, s: &mut InferenceSession<'_, '_>, x: &ScratchTensor) -> ScratchTensor {
-        let mut h = self.fc1.infer(s, x);
-        s.gelu_in_place(&mut h);
-        let out = self.fc2.infer(s, &h);
-        s.free(h);
+    pub fn forward<E: Executor>(&self, e: &mut E, x: &E::Value) -> E::Value {
+        let h = self.fc1.forward(e, x);
+        let h = e.gelu(h);
+        let out = self.fc2.forward(e, &h);
+        e.free(h);
         out
     }
 
@@ -326,38 +298,24 @@ impl TransformerBlock {
         }
     }
 
-    /// Applies the block to `[batch * seq, dim]` tokens.
-    pub fn forward(&self, g: &mut Graph<'_>, x: Var, batch: usize, seq: usize) -> Var {
-        let h = self.ln1.forward(g, x);
-        let h = self.attn.forward(g, h, batch, seq);
-        let x = g.add(x, h);
-        let h = self.ln2.forward(g, x);
-        let h = self.ffn.forward(g, h);
-        let x = g.add(x, h);
-        self.ln3.forward(g, x)
-    }
-
-    /// Tape-free block forward. Consumes `x` (its buffer is recycled after
-    /// the first residual); byte-identical to [`forward`](Self::forward).
-    pub fn infer(
+    /// Applies the block to `[batch * seq, dim]` tokens, consuming `x`.
+    pub fn forward<E: Executor>(
         &self,
-        s: &mut InferenceSession<'_, '_>,
-        x: ScratchTensor,
+        e: &mut E,
+        x: E::Value,
         batch: usize,
         seq: usize,
-    ) -> ScratchTensor {
-        let ln = self.ln1.infer(s, &x);
-        let mut h = self.attn.infer(s, &ln, batch, seq);
-        s.free(ln);
-        s.add_assign(&mut h, &x); // h = x + attn(ln1(x))
-        s.free(x);
-        let ln = self.ln2.infer(s, &h);
-        let mut f = self.ffn.infer(s, &ln);
-        s.free(ln);
-        s.add_assign(&mut f, &h); // f = h + ffn(ln2(h))
-        s.free(h);
-        let out = self.ln3.infer(s, &f);
-        s.free(f);
+    ) -> E::Value {
+        let ln = self.ln1.forward(e, &x);
+        let h = self.attn.forward(e, &ln, batch, seq);
+        e.free(ln);
+        let x = e.add(x, h);
+        let ln = self.ln2.forward(e, &x);
+        let h = self.ffn.forward(e, &ln);
+        e.free(ln);
+        let x = e.add(x, h);
+        let out = self.ln3.forward(e, &x);
+        e.free(x);
         out
     }
 
@@ -372,7 +330,7 @@ impl TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::Tensor;
+    use crate::graph::Graph;
 
     #[test]
     fn linear_shapes() {
@@ -381,7 +339,7 @@ mod tests {
         let lin = Linear::new(&mut p, &mut r, "lin", 4, 6);
         let mut g = Graph::new(&p);
         let x = g.input(Tensor::zeros(&[3, 4]));
-        let y = lin.forward(&mut g, x);
+        let y = lin.forward(&mut g, &x);
         assert_eq!(g.value(y).shape(), &[3, 6]);
         assert_eq!(lin.in_dim(), 4);
         assert_eq!(lin.out_dim(), 6);
@@ -394,7 +352,7 @@ mod tests {
         let attn = MultiHeadAttention::new(&mut p, &mut r, "attn", 8, 2);
         let mut g = Graph::new(&p);
         let x = g.input(init::uniform(&mut r, &[2 * 5, 8], -1.0, 1.0));
-        let y = attn.forward(&mut g, x, 2, 5);
+        let y = attn.forward(&mut g, &x, 2, 5);
         assert_eq!(g.value(y).shape(), &[10, 8]);
         assert!(g.value(y).data().iter().all(|v| v.is_finite()));
     }
@@ -423,7 +381,7 @@ mod tests {
         let attn = MultiHeadAttention::new(&mut p, &mut r, "attn", 4, 1);
         let mut g = Graph::new(&p);
         let x = g.input(Tensor::full(&[6, 4], 0.5));
-        let y = attn.forward(&mut g, x, 1, 6);
+        let y = attn.forward(&mut g, &x, 1, 6);
         let d = g.value(y).data();
         for row in 1..6 {
             for j in 0..4 {
