@@ -10,6 +10,7 @@
 //! not the paper's — the *shape* (orderings, rough factors, crossovers) is
 //! the reproduction target (README "Reproduction scope").
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use easz_core::zoo::{self, PretrainSpec};

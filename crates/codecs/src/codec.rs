@@ -2,19 +2,10 @@
 //! rate-targeting helpers used by the paper's BPP-matched comparisons.
 
 use crate::registry::CodecId;
+use crate::wire::{self, Cursor, LengthError};
 use easz_image::ImageF32;
 use std::error::Error;
 use std::fmt;
-
-/// Decode allocation bound: the largest pixel count (width × height) any
-/// decoder in this workspace will allocate for, 2^26 ≈ 67 Mpx (8192²).
-///
-/// Bitstream headers are attacker-controlled, and the per-side bound of
-/// 2^20 alone still admits terabyte-scale canvases — a ~200-byte bitstream
-/// must never drive a huge allocation. The `.easz` container enforces the
-/// same bound on its canvas (see `docs/FORMAT.md` §1), so a decoded reply
-/// is at most `3 * MAX_PIXELS + 9` bytes on the wire.
-pub const MAX_PIXELS: usize = 1 << 26;
 
 /// Quality knob, 1 (worst/smallest) to 100 (best/largest).
 ///
@@ -80,6 +71,57 @@ impl fmt::Display for CodecError {
 }
 
 impl Error for CodecError {}
+
+impl From<LengthError> for CodecError {
+    fn from(e: LengthError) -> Self {
+        Self::Format(e.to_string())
+    }
+}
+
+/// The 14-byte header every inner-codec bitstream in this crate opens
+/// with: a 4-byte magic naming the codec, u32 width, u32 height, the
+/// channel-count byte and the quality byte.
+pub(crate) struct InnerHeader {
+    pub width: usize,
+    pub height: usize,
+    /// The raw channel byte; each decoder judges it where its bitstream
+    /// order puts that check.
+    pub channels: u8,
+    pub quality: Quality,
+}
+
+impl InnerHeader {
+    const LEN: usize = 14;
+
+    /// Appends the header announcing `img` at `quality` to `out`.
+    pub fn write(out: &mut Vec<u8>, magic: &[u8; 4], img: &ImageF32, quality: Quality) {
+        out.extend_from_slice(magic);
+        out.extend_from_slice(&(img.width() as u32).to_le_bytes());
+        out.extend_from_slice(&(img.height() as u32).to_le_bytes());
+        out.push(img.channels().count() as u8);
+        out.push(quality.value());
+    }
+
+    /// Parses the header at the start of `bytes`, returning it and a cursor
+    /// on the first byte after it. Checks fire in this order: length and
+    /// magic (anything under 14 bytes is "bad magic"), the quality byte,
+    /// then the canvas, which must be non-empty and fit the
+    /// [`wire::canvas_fits`] bound before any decoder allocates for it.
+    pub fn parse<'a>(bytes: &'a [u8], magic: &[u8; 4]) -> Result<(Self, Cursor<'a>), CodecError> {
+        let mut c = Cursor::new(bytes);
+        if bytes.len() < Self::LEN || c.bytes(4)? != magic {
+            return Err(CodecError::Format("bad magic".into()));
+        }
+        let width = c.u32()? as usize;
+        let height = c.u32()? as usize;
+        let channels = c.u8()?;
+        let quality = Quality::try_new(c.u8()?)?;
+        if width == 0 || height == 0 || !wire::canvas_fits(width, height) {
+            return Err(CodecError::Format(format!("implausible size {width}x{height}")));
+        }
+        Ok((Self { width, height, channels, quality }, c))
+    }
+}
 
 /// A lossy image codec producing a self-contained bitstream.
 ///

@@ -7,11 +7,12 @@
 //! self-contained (not interchange-format JPEG — see "Reproduction scope" in
 //! the README).
 
-use crate::codec::{CodecError, ImageCodec, Quality};
+use crate::codec::{CodecError, ImageCodec, InnerHeader, Quality};
 use crate::dct::dct8;
 use crate::entropy::bitio::{BitReader, BitWriter};
 use crate::entropy::huffman::HuffmanTable;
 use crate::registry::CodecId;
+use crate::wire::Cursor;
 use easz_image::resample::{resize, Filter};
 use easz_image::{color, Channels, ImageF32};
 
@@ -308,24 +309,11 @@ fn write_table(out: &mut Vec<u8>, table: &HuffmanTable) {
     }
 }
 
-fn read_table(bytes: &[u8], pos: &mut usize) -> Result<HuffmanTable, CodecError> {
-    let need = |p: usize, n: usize| {
-        if p + n > bytes.len() {
-            Err(CodecError::Format("truncated header".into()))
-        } else {
-            Ok(())
-        }
-    };
-    need(*pos, 2)?;
-    let count = u16::from_le_bytes([bytes[*pos], bytes[*pos + 1]]) as usize;
-    *pos += 2;
-    need(*pos, count * 2)?;
+fn read_table(c: &mut Cursor<'_>) -> Result<HuffmanTable, CodecError> {
+    let count = c.count_u16(2)?;
     let mut lengths = [0u8; 256];
-    for _ in 0..count {
-        let s = bytes[*pos];
-        let l = bytes[*pos + 1];
-        *pos += 2;
-        lengths[s as usize] = l;
+    for entry in c.bytes(2 * count)?.chunks_exact(2) {
+        lengths[usize::from(entry[0])] = entry[1];
     }
     HuffmanTable::try_from_lengths(lengths)
         .ok_or_else(|| CodecError::Format("invalid huffman table lengths".into()))
@@ -378,11 +366,7 @@ impl ImageCodec for JpegLikeCodec {
         let tables = freq.map(|f| HuffmanTable::from_frequencies(&f));
 
         let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(w as u32).to_le_bytes());
-        out.extend_from_slice(&(h as u32).to_le_bytes());
-        out.push(img.channels().count() as u8);
-        out.push(quality.value());
+        InnerHeader::write(&mut out, MAGIC, img, quality);
         write_table(&mut out, &tables[DC]);
         write_table(&mut out, &tables[AC]);
 
@@ -397,30 +381,16 @@ impl ImageCodec for JpegLikeCodec {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<ImageF32, CodecError> {
-        if bytes.len() < 14 || &bytes[..4] != MAGIC {
-            return Err(CodecError::Format("bad magic".into()));
-        }
-        let width = u32::from_le_bytes(bytes[4..8].try_into().expect("slice")) as usize;
-        let height = u32::from_le_bytes(bytes[8..12].try_into().expect("slice")) as usize;
-        let nchan = bytes[12];
-        let quality = Quality::try_new(bytes[13])?;
-        if width == 0
-            || height == 0
-            || width > 1 << 20
-            || height > 1 << 20
-            || width.checked_mul(height).is_none_or(|px| px > crate::MAX_PIXELS)
-        {
-            return Err(CodecError::Format(format!("implausible size {width}x{height}")));
-        }
-        let mut pos = 14usize;
-        let dc_table = read_table(bytes, &mut pos)?;
-        let ac_table = read_table(bytes, &mut pos)?;
-        let mut reader = BitReader::new(&bytes[pos..]);
+        let (InnerHeader { width, height, channels, quality }, mut c) =
+            InnerHeader::parse(bytes, MAGIC)?;
+        let dc_table = read_table(&mut c)?;
+        let ac_table = read_table(&mut c)?;
+        let mut reader = BitReader::new(c.rest());
         let mut plane = |width, height, chroma| {
             let qtable = plane_qtable(chroma, quality);
             Self::decode_plane(width, height, &qtable, &dc_table, &ac_table, &mut reader)
         };
-        match nchan {
+        match channels {
             1 => plane(width, height, false),
             3 => {
                 let y = plane(width, height, false)?;

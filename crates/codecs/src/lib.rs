@@ -14,6 +14,10 @@
 //!   README).
 //! * [`sr`] — super-resolution baselines for the paper's Table I.
 //! * [`entropy`] — bit I/O, canonical Huffman, adaptive binary range coder.
+//! * [`wire`] — the one place untrusted bytes are bounds-checked: the byte
+//!   [`Cursor`](wire::Cursor) every parser in the workspace reads through
+//!   (container, mask side channel, inner-codec headers, protocol payloads)
+//!   and the canvas bound ([`MAX_PIXELS`], [`wire::MAX_SIDE`]).
 //!
 //! Everything speaks the [`ImageCodec`] trait, and [`encode_to_bpp`]
 //! provides the BPP-targeted encoding the paper's tables use.
@@ -31,6 +35,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bpg;
@@ -42,12 +47,13 @@ mod neural;
 mod registry;
 pub mod sr;
 pub mod transform;
+pub mod wire;
 
 pub use bpg::BpgLikeCodec;
 pub use codec::{
     bpp_quality_search, encode_to_bpp, encode_with, CodecError, Encoded, ImageCodec, Quality,
-    MAX_PIXELS,
 };
 pub use jpeg::JpegLikeCodec;
 pub use neural::{CostProfile, NeuralSimCodec, NeuralTier};
 pub use registry::{CodecId, CodecRegistry};
+pub use wire::MAX_PIXELS;

@@ -7,7 +7,7 @@
 //! transforms/entropy models — and keeps the rate-quality *ordering*
 //! (JPEG < BPG < MBT < Cheng) that the paper's experiments rely on.
 
-use crate::codec::{CodecError, Quality};
+use crate::codec::{CodecError, InnerHeader, Quality};
 use crate::dct::{zigzag_order, DctBasis};
 use crate::entropy::range::{decode_ue, encode_ue, BitModel, RangeDecoder, RangeEncoder};
 use easz_image::resample::{resize, Filter};
@@ -382,11 +382,7 @@ pub fn encode_engine(
     }
     let step = quality_to_step(quality) * cfg.step_scale;
     let mut out = Vec::new();
-    out.extend_from_slice(&cfg.magic);
-    out.extend_from_slice(&(img.width() as u32).to_le_bytes());
-    out.extend_from_slice(&(img.height() as u32).to_le_bytes());
-    out.push(img.channels().count() as u8);
-    out.push(quality.value());
+    InnerHeader::write(&mut out, &cfg.magic, img, quality);
     let mut enc = RangeEncoder::new();
     match img.channels() {
         Channels::Gray => {
@@ -425,24 +421,11 @@ pub fn encode_engine(
 ///
 /// Returns [`CodecError::Format`] for malformed bitstreams.
 pub fn decode_engine(bytes: &[u8], cfg: &EngineConfig) -> Result<ImageF32, CodecError> {
-    if bytes.len() < 14 || bytes[..4] != cfg.magic {
-        return Err(CodecError::Format("bad magic".into()));
-    }
-    let width = u32::from_le_bytes(bytes[4..8].try_into().expect("slice")) as usize;
-    let height = u32::from_le_bytes(bytes[8..12].try_into().expect("slice")) as usize;
-    let nchan = bytes[12];
-    let quality = Quality::try_new(bytes[13])?;
-    if width == 0
-        || height == 0
-        || width > 1 << 20
-        || height > 1 << 20
-        || width.checked_mul(height).is_none_or(|px| px > crate::MAX_PIXELS)
-    {
-        return Err(CodecError::Format(format!("implausible size {width}x{height}")));
-    }
+    let (InnerHeader { width, height, channels, quality }, mut c) =
+        InnerHeader::parse(bytes, &cfg.magic)?;
     let step = quality_to_step(quality) * cfg.step_scale;
-    let mut dec = RangeDecoder::new(&bytes[14..]);
-    let mut img = match nchan {
+    let mut dec = RangeDecoder::new(c.rest());
+    let mut img = match channels {
         1 => {
             let mut models = CoeffModels::new();
             let mut pc = PlaneCodec::new(cfg.luma_block, step, cfg.deadzone, &mut models);

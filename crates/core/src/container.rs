@@ -22,7 +22,10 @@
 //! section lengths must equal the buffer length, so truncation and
 //! trailing garbage are both detected — and every field is validated on
 //! parse with typed [`EaszError`]s: untrusted bytes can never panic the
-//! server.
+//! server. Bounds are checked in one place for the whole workspace:
+//! every read goes through [`easz_codecs::wire::Cursor`] and the canvas is
+//! held to [`easz_codecs::wire::canvas_fits`], the bound the inner codecs
+//! and the encoder share.
 //!
 //! The mask seed, erase ratio and quality fields are not consumed by
 //! decoding (the transmitted mask drives it); they are carried so the
@@ -35,6 +38,7 @@ use crate::config::{EaszConfig, MaskStrategy};
 use crate::error::EaszError;
 use crate::mask::EraseMask;
 use crate::squeeze::Orientation;
+use easz_codecs::wire::{self, Cursor, LengthError};
 use easz_codecs::{CodecId, Quality};
 
 /// Container magic, `"EASZ"`.
@@ -59,11 +63,6 @@ const FLAG_VERTICAL: u8 = 1 << 1;
 /// Version-2 flag: the edge opts this container into the server's int8
 /// quantized decode tier (ε/PSNR-bounded, not bit-exact).
 const FLAG_QUANT: u8 = 1 << 2;
-/// Per-side dimension bound shared with the inner codecs; the total canvas
-/// is additionally bounded by [`easz_codecs::MAX_PIXELS`] so a small
-/// untrusted header can never drive a huge allocation. The encoder
-/// enforces both, so every container it emits is parseable.
-pub(crate) const MAX_SIDE: usize = 1 << 20;
 
 /// The transmitted form of an Easz-compressed image.
 ///
@@ -171,20 +170,21 @@ impl EaszEncoded {
     /// lengths, or a mask side channel that does not parse or disagrees
     /// with the header geometry. Never panics on untrusted input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, EaszError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(EaszError::Truncated { needed: HEADER_LEN, got: bytes.len() });
-        }
-        if bytes[0..4] != MAGIC {
+        let mut c = Cursor::new(bytes);
+        // The whole fixed header first: a short buffer is `Truncated`
+        // before any field is judged.
+        let mut h = Cursor::new(c.bytes(HEADER_LEN)?);
+        if h.bytes(4)? != MAGIC {
             return Err(EaszError::BadMagic);
         }
-        let version = bytes[4];
+        let version = h.u8()?;
         if !(FORMAT_VERSION..=FORMAT_VERSION_MAX).contains(&version) {
             return Err(EaszError::UnsupportedVersion(version));
         }
-        let codec_id = CodecId(bytes[5]);
-        let quality = Quality::try_new(bytes[6]).map_err(EaszError::Codec)?;
-        let strategy = MaskStrategy::from_wire_byte(bytes[7])?;
-        let flags = bytes[8];
+        let codec_id = CodecId(h.u8()?);
+        let quality = Quality::try_new(h.u8()?).map_err(EaszError::Codec)?;
+        let strategy = MaskStrategy::from_wire_byte(h.u8()?)?;
+        let flags = h.u8()?;
         // Each version rejects the flag bits it has not assigned: that is
         // the escape hatch that lets a later version give them meaning.
         let known = if version >= 2 {
@@ -199,31 +199,22 @@ impl EaszEncoded {
         }
         // Byte 9 is the zoo model id from version 3 on; versions 1 and 2
         // keep rejecting nonzero values exactly as when it was reserved —
-        // that rejection is what made reassigning the byte safe.
-        let model_id = if version >= 3 { bytes[9] } else { 0 };
-        if version < 3 && bytes[9] != 0 {
-            return Err(EaszError::Malformed(format!("reserved byte 0x{:02x} != 0", bytes[9])));
+        // that rejection is what made reassigning the byte safe, and what
+        // makes a parsed byte 9 the model id in every version.
+        let byte9 = h.u8()?;
+        if version < 3 && byte9 != 0 {
+            return Err(EaszError::Malformed(format!("reserved byte 0x{byte9:02x} != 0")));
         }
-        let read_u16 = |off: usize| u16::from_le_bytes([bytes[off], bytes[off + 1]]) as usize;
-        let read_u32 = |off: usize| {
-            u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte slice")) as usize
-        };
-        let n = read_u16(10);
-        let b = read_u16(12);
-        let width = read_u32(14);
-        let height = read_u32(18);
-        let mask_seed = u64::from_le_bytes(bytes[22..30].try_into().expect("8-byte slice"));
-        let erase_ratio =
-            f64::from_bits(u64::from_le_bytes(bytes[30..38].try_into().expect("8-byte slice")));
-        let mask_len = read_u32(38);
-        let payload_len = read_u32(42);
+        let n = usize::from(h.u16()?);
+        let b = usize::from(h.u16()?);
+        let width = h.u32()? as usize;
+        let height = h.u32()? as usize;
+        let mask_seed = h.u64()?;
+        let erase_ratio = f64::from_bits(h.u64()?);
+        let mask_len = h.u32()? as usize;
+        let payload_len = h.u32()? as usize;
 
-        if width == 0
-            || height == 0
-            || width > MAX_SIDE
-            || height > MAX_SIDE
-            || width.checked_mul(height).is_none_or(|px| px > easz_codecs::MAX_PIXELS)
-        {
+        if width == 0 || height == 0 || !wire::canvas_fits(width, height) {
             return Err(EaszError::Malformed(format!("implausible canvas {width}x{height}")));
         }
         let config = EaszConfig {
@@ -239,25 +230,16 @@ impl EaszEncoded {
             mask_seed,
             synthesize_grain: flags & FLAG_GRAIN != 0,
             allow_quantized: flags & FLAG_QUANT != 0,
-            model_id,
+            model_id: byte9,
         };
         config.validate()?;
 
-        let needed = HEADER_LEN
-            .checked_add(mask_len)
-            .and_then(|v| v.checked_add(payload_len))
+        let sections = mask_len
+            .checked_add(payload_len)
             .ok_or_else(|| EaszError::Malformed("section lengths overflow".into()))?;
-        if bytes.len() < needed {
-            return Err(EaszError::Truncated { needed, got: bytes.len() });
-        }
-        if bytes.len() > needed {
-            return Err(EaszError::Malformed(format!(
-                "{} trailing bytes after sections",
-                bytes.len() - needed
-            )));
-        }
-        let mask_bytes = bytes[HEADER_LEN..HEADER_LEN + mask_len].to_vec();
-        let payload = bytes[HEADER_LEN + mask_len..needed].to_vec();
+        let (mask_bytes, payload) = c.bytes(sections)?.split_at(mask_len);
+        c.finish()?;
+        let (mask_bytes, payload) = (mask_bytes.to_vec(), payload.to_vec());
 
         // The mask side channel must parse and match the announced grid so
         // a corrupt container is rejected here, not deep inside decode.
@@ -271,6 +253,19 @@ impl EaszEncoded {
         }
 
         Ok(Self { payload, mask_bytes, width, height, config, quality, codec_id })
+    }
+}
+
+/// A container read past its end is `Truncated` (positions are offsets into
+/// the whole buffer, so `needed`/`got` count from its first byte); one with
+/// bytes left after its sections is `Malformed`.
+impl From<LengthError> for EaszError {
+    fn from(e: LengthError) -> Self {
+        if e.is_trailing() {
+            Self::Malformed(e.to_string())
+        } else {
+            Self::Truncated { needed: e.pos.saturating_add(e.needed), got: e.pos + e.have }
+        }
     }
 }
 
@@ -451,6 +446,28 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes.push(0);
         assert!(matches!(EaszEncoded::from_bytes(&bytes), Err(EaszError::Malformed(_))));
+    }
+
+    #[test]
+    fn the_mask_section_is_exact_too() {
+        // One byte past the mask cells, with `M` counting it: the section
+        // lengths agree with the buffer, the mask does not.
+        let mut enc = sample();
+        enc.mask_bytes.push(0);
+        match EaszEncoded::from_bytes(&enc.to_bytes()) {
+            Err(EaszError::MaskChannel(m)) => assert!(m.contains("trailing"), "{m}"),
+            other => panic!("a mask section one byte long must be MaskChannel, got {other:?}"),
+        }
+        // An odd grid (3×3 cells in two bytes) with a pad bit set.
+        let mut enc = sample();
+        enc.config = EaszConfig::builder().n(12).b(4).build().expect("3x3 grid");
+        enc.mask_bytes = enc.config.make_mask().to_bytes();
+        assert_eq!(EaszEncoded::from_bytes(&enc.to_bytes()).expect("clean pad"), enc);
+        *enc.mask_bytes.last_mut().expect("cells") |= 1;
+        match EaszEncoded::from_bytes(&enc.to_bytes()) {
+            Err(EaszError::MaskChannel(m)) => assert!(m.contains("pad"), "{m}"),
+            other => panic!("a set pad bit must be MaskChannel, got {other:?}"),
+        }
     }
 
     #[test]

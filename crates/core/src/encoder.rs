@@ -15,12 +15,12 @@
 //! neural encoders; beside a conventional codec it is a tenth.
 
 use crate::config::EaszConfig;
-use crate::container::{self, EaszEncoded};
+use crate::container::EaszEncoded;
 use crate::error::EaszError;
 use crate::mask::EraseMask;
 use crate::patchify::PatchGeometry;
 use crate::squeeze::Orientation;
-use easz_codecs::{CodecId, ImageCodec, Quality};
+use easz_codecs::{wire, CodecId, ImageCodec, Quality};
 use easz_image::ImageF32;
 
 /// The edge-side session: configuration plus an inner codec of the caller's
@@ -114,16 +114,15 @@ impl EaszEncoder {
         if codec.id() == CodecId::UNKNOWN {
             return Err(EaszError::AnonymousCodec(codec.name().to_string()));
         }
-        if img.width() > container::MAX_SIDE
-            || img.height() > container::MAX_SIDE
-            || img.width() * img.height() > easz_codecs::MAX_PIXELS
-        {
+        // Only the upper bound is shared with the parser: an empty image
+        // is the inner codec's to refuse.
+        if !wire::canvas_fits(img.width(), img.height()) {
             return Err(EaszError::Malformed(format!(
                 "canvas {}x{} exceeds the container limits ({} per side, {} pixels total)",
                 img.width(),
                 img.height(),
-                container::MAX_SIDE,
-                easz_codecs::MAX_PIXELS
+                wire::MAX_SIDE,
+                wire::MAX_PIXELS
             )));
         }
         let (squeezed, mask) = self.erase_and_squeeze(img);

@@ -7,6 +7,7 @@
 //! and an inter-row minimum distance `Δ` from the previous row's picks.
 //! Diagonal masks and 2× uniform down-sampling are degenerate cases.
 
+use easz_codecs::wire::Cursor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -124,7 +125,9 @@ impl EraseMask {
         self.erased_per_row * self.n_grid
     }
 
-    /// Serialises to the wire format: `[n_grid u16][t u16][packed bits]`.
+    /// Serialises to the wire format (`docs/FORMAT.md` §1): `[n_grid u16]
+    /// [t u16]` then the `n_grid²` cells, row-major, one bit each (`1` =
+    /// erased), most significant bit first, zero-padded to a whole byte.
     ///
     /// A 32×32 mask packs to 128 payload bytes, matching the paper's
     /// transmission-cost claim.
@@ -149,27 +152,29 @@ impl EraseMask {
         out
     }
 
-    /// Parses the wire format produced by [`to_bytes`](Self::to_bytes).
+    /// Parses the wire format produced by [`to_bytes`](Self::to_bytes),
+    /// exactly: the buffer must end with the byte holding the last cell,
+    /// and that byte's pad bits must be zero.
     ///
     /// # Errors
     ///
-    /// Returns a message if the buffer is truncated or violates the
-    /// equal-rows invariant.
+    /// Returns a message if the buffer is truncated, runs past the cells,
+    /// sets a pad bit or violates the equal-rows invariant.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        if bytes.len() < 4 {
+        let mut c = Cursor::new(bytes);
+        let (Ok(n_grid), Ok(t)) = (c.u16().map(usize::from), c.u16().map(usize::from)) else {
             return Err("mask buffer too short".into());
-        }
-        let n_grid = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        let t = u16::from_le_bytes([bytes[2], bytes[3]]) as usize;
+        };
         let nbits = n_grid * n_grid;
-        if bytes.len() < 4 + nbits.div_ceil(8) {
-            return Err(format!("mask payload truncated for n_grid {n_grid}"));
+        let packed = c
+            .bytes(nbits.div_ceil(8))
+            .map_err(|_| format!("mask payload truncated for n_grid {n_grid}"))?;
+        c.finish().map_err(|e| format!("{} trailing bytes after the mask cells", e.have))?;
+        // The low `8 - nbits % 8` bits of a partial last byte are padding.
+        if packed.last().is_some_and(|&last| nbits % 8 != 0 && last & (0xFF >> (nbits % 8)) != 0) {
+            return Err(format!("nonzero pad bits after the {nbits} mask cells"));
         }
-        let mut cells = Vec::with_capacity(nbits);
-        for i in 0..nbits {
-            let byte = bytes[4 + i / 8];
-            cells.push((byte >> (7 - (i % 8))) & 1 == 1);
-        }
+        let cells = (0..nbits).map(|i| (packed[i / 8] >> (7 - i % 8)) & 1 == 1).collect();
         let mask = Self { n_grid, erased_per_row: t, cells };
         for row in 0..n_grid {
             if mask.erased_cols(row).len() != t {
@@ -437,12 +442,40 @@ mod tests {
         assert_eq!(bytes.len() - 4, 128);
         let back = EraseMask::from_bytes(&bytes).expect("parse");
         assert_eq!(mask, back);
+        // Every generator, on grids with and without a partial last byte:
+        // the pad bits `to_bytes` writes are the zeros the parser demands.
+        for n_grid in 2..=17 {
+            let t = (n_grid / 3).max(1);
+            for kind in [
+                MaskKind::RowConditional(RowSamplerConfig::with_ratio(n_grid, 0.3)),
+                MaskKind::RandomRow { n_grid, t },
+                MaskKind::Diagonal { n_grid },
+            ] {
+                let mask = kind.generate(n_grid as u64);
+                assert_eq!(EraseMask::from_bytes(&mask.to_bytes()), Ok(mask), "{kind:?}");
+            }
+        }
     }
 
     #[test]
     fn from_bytes_rejects_garbage() {
         assert!(EraseMask::from_bytes(&[]).is_err());
         assert!(EraseMask::from_bytes(&[32, 0, 2, 0, 1]).is_err()); // truncated
+
+        // A 3×3 diagonal: 9 cells in two bytes, 7 pad bits.
+        let diagonal = MaskKind::Diagonal { n_grid: 3 }.generate(0).to_bytes();
+        assert_eq!(diagonal, [3, 0, 1, 0, 0b1000_1000, 0b1000_0000]);
+        assert!(EraseMask::from_bytes(&diagonal).is_ok());
+        for pad in 0..7 {
+            let mut bad = diagonal.clone();
+            bad[5] |= 1 << pad;
+            let err = EraseMask::from_bytes(&bad).expect_err("pad bit set");
+            assert!(err.contains("pad"), "{err}");
+        }
+        let mut long = diagonal.clone();
+        long.push(0);
+        let err = EraseMask::from_bytes(&long).expect_err("trailing byte");
+        assert!(err.contains("trailing"), "{err}");
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! assert_eq!((img.width(), img.height()), (768, 512));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod datasets;

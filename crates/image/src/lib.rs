@@ -17,6 +17,7 @@
 //! assert_eq!(back.width(), 64);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blocks;

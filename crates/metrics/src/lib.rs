@@ -22,6 +22,7 @@
 //! assert!((ssim(&a, &b) - 1.0).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fr;

@@ -9,6 +9,7 @@
 //! server start; gauges (queue depth) reflect the moment of the snapshot.
 
 use crate::protocol::ErrorCode;
+use easz_codecs::wire::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Buckets in the batch-width histogram: widths `1..WIDTH_BUCKETS-1` count
@@ -331,8 +332,9 @@ impl ServerMetrics {
 pub const STATS_PAYLOAD_VERSION: u8 = 4;
 
 /// A point-in-time snapshot of a server's [`ServerMetrics`], as carried by
-/// the `STATS_REPLY` frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// the `STATS_REPLY` frame. The default is the all-zero snapshot of a
+/// server that has seen nothing.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Containers received for decoding.
     pub decode_requests: u64,
@@ -471,115 +473,74 @@ impl ServerStats {
     /// A description of the malformation (unknown payload version, short or
     /// trailing bytes, oversized histogram).
     pub fn from_payload(payload: &[u8]) -> Result<Self, String> {
-        let mut r = Reader { payload, pos: 0 };
+        Self::parse(&mut Cursor::new(payload)).map_err(|e| format!("stats payload: {e}"))
+    }
+
+    fn parse(r: &mut Cursor<'_>) -> Result<Self, String> {
         let version = r.u8()?;
         if version == 0 || version > STATS_PAYLOAD_VERSION {
-            return Err(format!("unknown stats payload version {version}"));
+            return Err(format!("unknown version {version}"));
         }
-        let decode_requests = r.u64()?;
-        let decode_ok = r.u64()?;
-        let decode_err = r.u64()?;
-        let batches_dispatched = r.u64()?;
-        let inline_decodes = r.u64()?;
-        let queue_depth = r.u64()?;
-        let queue_peak = r.u64()?;
-        let queue_wait_us = r.u64()?;
-        let decode_us = r.u64()?;
-        let n_widths = r.u8()? as usize;
+        // The blocks in `to_payload`'s order; fields a lower version
+        // predates stay 0.
+        let mut s = Self::default();
+        for v in [
+            &mut s.decode_requests,
+            &mut s.decode_ok,
+            &mut s.decode_err,
+            &mut s.batches_dispatched,
+            &mut s.inline_decodes,
+            &mut s.queue_depth,
+            &mut s.queue_peak,
+            &mut s.queue_wait_us,
+            &mut s.decode_us,
+        ] {
+            *v = r.u64()?;
+        }
+        let n_widths = usize::from(r.u8()?);
         if n_widths != WIDTH_BUCKETS {
-            return Err(format!(
-                "stats histogram has {n_widths} buckets, expected {WIDTH_BUCKETS}"
-            ));
+            return Err(format!("histogram has {n_widths} buckets, expected {WIDTH_BUCKETS}"));
         }
-        let mut batch_widths = [0u64; WIDTH_BUCKETS];
-        for w in &mut batch_widths {
+        for w in &mut s.batch_widths {
             *w = r.u64()?;
         }
-        let n_errors = r.u8()? as usize;
-        let mut errors = Vec::with_capacity(n_errors);
+        let n_errors = r.u8()?;
+        s.errors.reserve_exact(usize::from(n_errors));
         for _ in 0..n_errors {
             let code = r.u8()?;
-            errors.push((code, r.u64()?));
+            s.errors.push((code, r.u64()?));
         }
-        let (connections_active, connections_accepted, connections_refused) =
-            if version >= 2 { (r.u64()?, r.u64()?, r.u64()?) } else { (0, 0, 0) };
-        let (requests_shed, arrival_ewma_us) =
-            if version >= 2 { (r.u64()?, r.u64()?) } else { (0, 0) };
-        let (panics_caught, worker_respawns, deadlines_expired) =
-            if version >= 3 { (r.u64()?, r.u64()?, r.u64()?) } else { (0, 0, 0) };
-        let mut queue_wait_histo = [0u64; LATENCY_BUCKETS];
-        let mut decode_histo = [0u64; LATENCY_BUCKETS];
-        let mut service_histo = [0u64; LATENCY_BUCKETS];
+        if version >= 2 {
+            for v in [
+                &mut s.connections_active,
+                &mut s.connections_accepted,
+                &mut s.connections_refused,
+                &mut s.requests_shed,
+                &mut s.arrival_ewma_us,
+            ] {
+                *v = r.u64()?;
+            }
+        }
+        if version >= 3 {
+            for v in [&mut s.panics_caught, &mut s.worker_respawns, &mut s.deadlines_expired] {
+                *v = r.u64()?;
+            }
+        }
         if version >= 4 {
-            let n_latency = r.u8()? as usize;
+            let n_latency = usize::from(r.u8()?);
             if n_latency != LATENCY_BUCKETS {
                 return Err(format!(
-                    "stats latency histograms have {n_latency} buckets, expected {LATENCY_BUCKETS}"
+                    "latency histograms have {n_latency} buckets, expected {LATENCY_BUCKETS}"
                 ));
             }
-            for histo in [&mut queue_wait_histo, &mut decode_histo, &mut service_histo] {
-                for b in histo.iter_mut() {
+            for histo in [&mut s.queue_wait_histo, &mut s.decode_histo, &mut s.service_histo] {
+                for b in histo {
                     *b = r.u64()?;
                 }
             }
         }
-        if r.pos != payload.len() {
-            return Err(format!(
-                "{} trailing bytes after the stats payload",
-                payload.len() - r.pos
-            ));
-        }
-        Ok(Self {
-            decode_requests,
-            decode_ok,
-            decode_err,
-            batches_dispatched,
-            inline_decodes,
-            queue_depth,
-            queue_peak,
-            queue_wait_us,
-            decode_us,
-            batch_widths,
-            errors,
-            connections_active,
-            connections_accepted,
-            connections_refused,
-            requests_shed,
-            arrival_ewma_us,
-            panics_caught,
-            worker_respawns,
-            deadlines_expired,
-            queue_wait_histo,
-            decode_histo,
-            service_histo,
-        })
-    }
-}
-
-/// Cursor over a stats payload with typed, bounds-checked reads.
-struct Reader<'a> {
-    payload: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn u8(&mut self) -> Result<u8, String> {
-        let b = *self
-            .payload
-            .get(self.pos)
-            .ok_or_else(|| format!("stats payload truncated at byte {}", self.pos))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let end = self.pos + 8;
-        let bytes = self
-            .payload
-            .get(self.pos..end)
-            .ok_or_else(|| format!("stats payload truncated at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        r.finish()?;
+        Ok(s)
     }
 }
 

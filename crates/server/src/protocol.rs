@@ -6,7 +6,10 @@
 //! this module is its executable form. Both sides of the connection use the
 //! same primitives: [`write_frame`] / [`read_frame`] move whole frames,
 //! [`encode_image`] / [`decode_image`] and [`encode_batch`] /
-//! [`decode_batch_payload`] translate the structured payloads.
+//! [`decode_batch_payload`] translate the structured payloads. Every one of
+//! them reads through [`easz_codecs::wire::Cursor`], the one place the
+//! workspace checks bounds on untrusted bytes, and every payload layout is
+//! exact: trailing bytes are a malformation.
 //!
 //! A frame is `type (1 byte) | payload length (u32 LE) | payload`. Frame
 //! types with the high bit clear are requests, with the high bit set are
@@ -15,6 +18,7 @@
 //!
 //! [`docs/FORMAT.md`]: https://example.invalid/easz/docs/FORMAT.md
 
+use easz_codecs::wire::Cursor;
 use easz_core::EaszError;
 use easz_image::{Channels, ImageU8};
 use std::io::{self, Read, Write};
@@ -248,19 +252,20 @@ impl WireError {
         out
     }
 
-    /// Parses an [`ERROR`] frame payload.
+    /// Parses an [`ERROR`] frame payload, which must end exactly after the
+    /// announced message.
     pub fn from_payload(payload: &[u8]) -> Result<Self, String> {
-        if payload.len() < 3 {
+        let mut c = Cursor::new(payload);
+        let (Ok(code), Ok(len)) = (c.u8(), c.u16()) else {
             return Err(format!("error payload of {} bytes is too short", payload.len()));
+        };
+        let code =
+            ErrorCode::from_byte(code).ok_or_else(|| format!("unknown error code {code}"))?;
+        let message = c.rest();
+        if message.len() != usize::from(len) {
+            return Err(format!("error payload length {} != announced {len}", message.len()));
         }
-        let code = ErrorCode::from_byte(payload[0])
-            .ok_or_else(|| format!("unknown error code {}", payload[0]))?;
-        let len = u16::from_le_bytes([payload[1], payload[2]]) as usize;
-        if payload.len() != 3 + len {
-            return Err(format!("error payload length {} != announced {}", payload.len() - 3, len));
-        }
-        let message = String::from_utf8_lossy(&payload[3..]).into_owned();
-        Ok(Self { code, message })
+        Ok(Self { code, message: String::from_utf8_lossy(message).into_owned() })
     }
 }
 
@@ -346,12 +351,25 @@ pub(crate) fn write_flushed(w: &mut impl Write, bytes: &[u8]) -> io::Result<()> 
     w.flush()
 }
 
+/// The frame header announcing `payload_len` bytes of `frame_type`; read
+/// back by [`parse_frame_header`].
 fn frame_header(frame_type: u8, payload_len: usize) -> [u8; FRAME_HEADER_LEN] {
     assert!(payload_len <= u32::MAX as usize, "frame payload too large to announce");
     let mut header = [0u8; FRAME_HEADER_LEN];
     header[0] = frame_type;
     header[1..5].copy_from_slice(&(payload_len as u32).to_le_bytes());
     header
+}
+
+/// Splits a frame header into its type byte and announced payload length:
+/// the one decoding of the 5 header bytes, shared by [`read_frame`] and the
+/// reactor's incremental assembler.
+pub(crate) fn parse_frame_header(header: &[u8; FRAME_HEADER_LEN]) -> (u8, usize) {
+    let mut c = Cursor::new(header);
+    let (Ok(frame_type), Ok(len)) = (c.u8(), c.u32()) else {
+        unreachable!("a frame header holds a type byte and a u32")
+    };
+    (frame_type, len as usize)
 }
 
 /// Serializes one frame into owned bytes — the header of [`write_frame`]
@@ -392,29 +410,28 @@ pub fn read_frame(
     r: &mut impl Read,
     max_payload: usize,
 ) -> Result<Option<(u8, Vec<u8>)>, FrameReadError> {
-    let mut first = [0u8; 1];
+    let mut header = [0u8; FRAME_HEADER_LEN];
     loop {
         // Fault hook (compiles out of default builds): a simulated transport
         // EINTR takes the same retry branch a real one would.
         if crate::fault::read_interrupted() {
             continue;
         }
-        match r.read(&mut first) {
+        match r.read(&mut header[..1]) {
             Ok(0) => return Ok(None),
             Ok(_) => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
-    let mut rest = [0u8; FRAME_HEADER_LEN - 1];
-    r.read_exact(&mut rest)?;
-    let announced = u32::from_le_bytes(rest) as usize;
+    r.read_exact(&mut header[1..])?;
+    let (frame_type, announced) = parse_frame_header(&header);
     if announced > max_payload {
         return Err(FrameReadError::Oversize { announced, limit: max_payload });
     }
     let mut payload = vec![0u8; announced];
     r.read_exact(&mut payload)?;
-    Ok(Some((first[0], payload)))
+    Ok(Some((frame_type, payload)))
 }
 
 /// Bytes of an [`IMAGE`] payload ahead of the samples.
@@ -436,19 +453,20 @@ fn put_image(out: &mut Vec<u8>, img: &ImageU8) {
     out.extend_from_slice(img.data());
 }
 
-/// Parses an [`IMAGE`] frame payload.
+/// Parses an [`IMAGE`] frame payload, which must end exactly after the
+/// announced samples.
 ///
 /// # Errors
 ///
 /// A description of the malformation (short payload, channel byte other
 /// than 1 or 3, sample count disagreeing with the announced dimensions).
 pub fn decode_image(payload: &[u8]) -> Result<ImageU8, String> {
-    if payload.len() < IMAGE_HEADER_LEN {
+    let mut c = Cursor::new(payload);
+    let (Ok(width), Ok(height), Ok(channels)) = (c.u32(), c.u32(), c.u8()) else {
         return Err(format!("image payload of {} bytes is too short", payload.len()));
-    }
-    let width = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")) as usize;
-    let height = u32::from_le_bytes(payload[4..8].try_into().expect("4 bytes")) as usize;
-    let channels = match payload[8] {
+    };
+    let (width, height) = (width as usize, height as usize);
+    let channels = match channels {
         1 => Channels::Gray,
         3 => Channels::Rgb,
         other => return Err(format!("channel byte {other} is neither 1 nor 3")),
@@ -457,10 +475,11 @@ pub fn decode_image(payload: &[u8]) -> Result<ImageU8, String> {
         .checked_mul(height)
         .and_then(|p| p.checked_mul(channels.count()))
         .ok_or_else(|| "image dimensions overflow".to_string())?;
-    if payload.len() - 9 != expected {
-        return Err(format!("{} samples for a {width}x{height} image", payload.len() - 9));
+    let samples = c.rest();
+    if samples.len() != expected {
+        return Err(format!("{} samples for a {width}x{height} image", samples.len()));
     }
-    Ok(ImageU8::from_vec(width, height, channels, payload[9..].to_vec()))
+    Ok(ImageU8::from_vec(width, height, channels, samples.to_vec()))
 }
 
 /// Serializes containers into a [`DECODE_BATCH`] payload: u32 LE count,
@@ -483,31 +502,21 @@ pub fn encode_batch(containers: &[&[u8]]) -> Vec<u8> {
 /// A description of the malformation (truncated entries, trailing bytes, or
 /// more than `max_batch` containers).
 pub fn decode_batch_payload(payload: &[u8], max_batch: usize) -> Result<Vec<&[u8]>, String> {
-    if payload.len() < 4 {
-        return Err("batch payload shorter than its count".into());
-    }
-    let count = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")) as usize;
+    let mut c = Cursor::new(payload);
+    let count = c.u32().map_err(|_| "batch payload shorter than its count")? as usize;
     if count > max_batch {
         return Err(format!("batch of {count} containers exceeds the limit of {max_batch}"));
     }
     let mut containers = Vec::with_capacity(count);
-    let mut offset = 4usize;
     for i in 0..count {
-        if payload.len() - offset < 4 {
-            return Err(format!("batch entry {i} is missing its length prefix"));
-        }
         let len =
-            u32::from_le_bytes(payload[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        offset += 4;
-        if payload.len() - offset < len {
-            return Err(format!("batch entry {i} announces {len} bytes past the payload end"));
-        }
-        containers.push(&payload[offset..offset + len]);
-        offset += len;
+            c.u32().map_err(|_| format!("batch entry {i} is missing its length prefix"))? as usize;
+        let container = c
+            .bytes(len)
+            .map_err(|_| format!("batch entry {i} announces {len} bytes past the payload end"))?;
+        containers.push(container);
     }
-    if offset != payload.len() {
-        return Err(format!("{} trailing bytes after the batch entries", payload.len() - offset));
-    }
+    c.finish().map_err(|e| format!("{} trailing bytes after the batch entries", e.have))?;
     Ok(containers)
 }
 

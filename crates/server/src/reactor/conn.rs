@@ -85,9 +85,7 @@ impl FrameAssembler {
                     if *have < buf.len() {
                         return (consumed, None);
                     }
-                    let frame_type = buf[0];
-                    let announced =
-                        u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes")) as usize;
+                    let (frame_type, announced) = protocol::parse_frame_header(buf);
                     if announced > self.max_payload {
                         let limit = self.max_payload;
                         self.state = ParseState::Draining { remaining: announced };

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use easz_codecs::wire::Cursor;
 use easz_core::{DecodeStage, DECODE_STAGES};
 
 /// Number of [`TraceStage`] milestones stamped into a span.
@@ -401,20 +402,21 @@ impl TraceReport {
     /// A description of the malformation (unknown version, mismatched
     /// stage counts, bad `ok` flag, short or trailing bytes).
     pub fn from_payload(payload: &[u8]) -> Result<Self, String> {
-        let mut r = TraceReader { payload, pos: 0 };
+        Self::parse(&mut Cursor::new(payload)).map_err(|e| format!("trace payload: {e}"))
+    }
+
+    fn parse(r: &mut Cursor<'_>) -> Result<Self, String> {
         let version = r.u8()?;
         if version == 0 || version > TRACE_PAYLOAD_VERSION {
-            return Err(format!("unknown trace payload version {version}"));
+            return Err(format!("unknown version {version}"));
         }
-        let n_stages = r.u8()? as usize;
+        let n_stages = usize::from(r.u8()?);
         if n_stages != TRACE_STAGES {
-            return Err(format!("trace spans carry {n_stages} stages, expected {TRACE_STAGES}"));
+            return Err(format!("spans carry {n_stages} stages, expected {TRACE_STAGES}"));
         }
-        let n_decode = r.u8()? as usize;
+        let n_decode = usize::from(r.u8()?);
         if n_decode != DECODE_STAGES {
-            return Err(format!(
-                "trace report has {n_decode} decode stages, expected {DECODE_STAGES}"
-            ));
+            return Err(format!("{n_decode} decode stages, expected {DECODE_STAGES}"));
         }
         let mut decode_stages = [(0u64, 0u64); DECODE_STAGES];
         for entry in &mut decode_stages {
@@ -422,7 +424,9 @@ impl TraceReport {
         }
         let mut lists: [Vec<TraceSpan>; 2] = [Vec::new(), Vec::new()];
         for list in &mut lists {
-            let count = r.u16()? as usize;
+            // The count is checked against the bytes behind it before it
+            // sizes the list.
+            let count = r.count_u16(TraceSpan::WIRE_LEN)?;
             list.reserve_exact(count);
             for _ in 0..count {
                 let id = r.u64()?;
@@ -432,7 +436,7 @@ impl TraceReport {
                 let ok = match r.u8()? {
                     0 => false,
                     1 => true,
-                    other => return Err(format!("trace span ok flag is {other}, expected 0|1")),
+                    other => return Err(format!("span ok flag is {other}, expected 0|1")),
                 };
                 let mut stamps = [STAMP_UNSET; TRACE_STAGES];
                 for stamp in &mut stamps {
@@ -441,61 +445,9 @@ impl TraceReport {
                 list.push(TraceSpan { id, source, start_us, frame, ok, stamps });
             }
         }
-        if r.pos != payload.len() {
-            return Err(format!(
-                "{} trailing bytes after the trace payload",
-                payload.len() - r.pos
-            ));
-        }
+        r.finish()?;
         let [recent, slow] = lists;
         Ok(Self { recent, slow, decode_stages })
-    }
-}
-
-/// Cursor over a trace payload with typed, bounds-checked reads.
-struct TraceReader<'a> {
-    payload: &'a [u8],
-    pos: usize,
-}
-
-impl TraceReader<'_> {
-    fn u8(&mut self) -> Result<u8, String> {
-        let b = *self
-            .payload
-            .get(self.pos)
-            .ok_or_else(|| format!("trace payload truncated at byte {}", self.pos))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        let end = self.pos + 2;
-        let bytes = self
-            .payload
-            .get(self.pos..end)
-            .ok_or_else(|| format!("trace payload truncated at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(u16::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        let bytes = self
-            .payload
-            .get(self.pos..end)
-            .ok_or_else(|| format!("trace payload truncated at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let end = self.pos + 8;
-        let bytes = self
-            .payload
-            .get(self.pos..end)
-            .ok_or_else(|| format!("trace payload truncated at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
     }
 }
 

@@ -8,6 +8,8 @@
 //! workspace. It is **not** a statistically rigorous RNG and integer ranges
 //! use plain modulo reduction; see `crates/shims/README.md` for the policy.
 
+#![forbid(unsafe_code)]
+
 /// Concrete RNG implementations (only [`rngs::StdRng`] here).
 pub mod rngs {
     /// Deterministic SplitMix64 generator, stand-in for `rand::rngs::StdRng`.

@@ -98,9 +98,10 @@ pub fn save_params_file(params: &ParamSet, path: impl AsRef<Path>) -> Result<(),
 
 /// Loads weights from `reader` into an existing parameter set.
 ///
-/// Tensors are matched by name; shapes must agree exactly. Extra tensors in
-/// the file or missing tensors in the set are errors so stale caches fail
-/// loudly.
+/// Tensors are matched by name; shapes must agree exactly. Extra, repeated
+/// or missing tensors are errors so stale caches fail loudly. All or
+/// nothing: the file is read and checked whole before the first parameter
+/// is overwritten, so on `Err` every parameter keeps the value it had.
 ///
 /// # Errors
 ///
@@ -121,6 +122,9 @@ pub fn load_params<R: Read>(params: &mut ParamSet, mut reader: R) -> Result<(), 
             params.len()
         )));
     }
+    // Staged, not applied: a file that fails at tensor k must not leave
+    // tensors 0..k overwritten.
+    let mut staged = Vec::with_capacity(count);
     for _ in 0..count {
         let mut u16b = [0u8; 2];
         reader.read_exact(&mut u16b)?;
@@ -137,13 +141,8 @@ pub fn load_params<R: Read>(params: &mut ParamSet, mut reader: R) -> Result<(), 
             reader.read_exact(&mut u32b)?;
             shape.push(u32::from_le_bytes(u32b) as usize);
         }
-        let numel: usize = shape.iter().product();
-        let mut data = vec![0f32; numel];
-        let mut f32b = [0u8; 4];
-        for v in data.iter_mut() {
-            reader.read_exact(&mut f32b)?;
-            *v = f32::from_le_bytes(f32b);
-        }
+        // Name and shape are judged before the data is read, so a damaged
+        // shape never sizes an allocation.
         let id = params
             .id_of(&name)
             .ok_or_else(|| WeightsError::Mismatch(format!("unknown tensor {name:?}")))?;
@@ -154,7 +153,19 @@ pub fn load_params<R: Read>(params: &mut ParamSet, mut reader: R) -> Result<(), 
                 params.value(id).shape()
             )));
         }
-        *params.value_mut(id) = Tensor::from_vec(data, &shape);
+        if staged.iter().any(|(seen, _)| *seen == id) {
+            return Err(WeightsError::Mismatch(format!("tensor {name:?} appears twice")));
+        }
+        let mut data = vec![0f32; params.value(id).numel()];
+        let mut f32b = [0u8; 4];
+        for v in data.iter_mut() {
+            reader.read_exact(&mut f32b)?;
+            *v = f32::from_le_bytes(f32b);
+        }
+        staged.push((id, Tensor::from_vec(data, &shape)));
+    }
+    for (id, tensor) in staged {
+        *params.value_mut(id) = tensor;
     }
     Ok(())
 }
@@ -229,6 +240,48 @@ mod tests {
         q.add("scalarish", Tensor::scalar(0.0));
         let err = load_params(&mut q, &buf[..]).unwrap_err();
         assert!(matches!(err, WeightsError::Mismatch(_)), "{err}");
+    }
+
+    /// Three tensors, the last two of one shape, drawn from `seed`.
+    fn same_shaped_tail(seed: u64) -> ParamSet {
+        let mut p = ParamSet::new();
+        let mut r = init::rng(seed);
+        p.add("a.w", init::uniform(&mut r, &[3, 4], -1.0, 1.0));
+        p.add("a.b", init::uniform(&mut r, &[4], -1.0, 1.0));
+        p.add("c.b", init::uniform(&mut r, &[4], -1.0, 1.0));
+        p
+    }
+
+    fn bits(p: &ParamSet) -> Vec<Vec<u32>> {
+        p.ids().map(|id| p.value(id).data().iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
+    #[test]
+    fn a_failed_load_leaves_every_param_untouched() {
+        let mut good = Vec::new();
+        save_params(&same_shaped_tail(11), &mut good).expect("save");
+        let last_name = good.windows(3).rposition(|w| w == b"c.b").expect("last name");
+        // (a) Cut inside the last tensor's data.
+        let truncated = good[..good.len() - 2].to_vec();
+        // (b) The last name altered to one the set does not hold.
+        let mut unknown = good.clone();
+        unknown[last_name] = b'x';
+        // (c) The last name altered to an earlier one of the same shape:
+        // the count still matches, and `c.b` would keep its old value.
+        let mut repeated = good.clone();
+        repeated[last_name] = b'a';
+        for (case, bytes) in
+            [("truncated", truncated), ("unknown", unknown), ("repeated", repeated)]
+        {
+            let mut q = same_shaped_tail(99);
+            let before = bits(&q);
+            assert!(load_params(&mut q, &bytes[..]).is_err(), "{case}: the load must fail");
+            assert_eq!(bits(&q), before, "{case}: a failed load must not touch any param");
+        }
+        // The undamaged file still loads whole.
+        let mut q = same_shaped_tail(99);
+        load_params(&mut q, &good[..]).expect("load");
+        assert_eq!(bits(&q), bits(&same_shaped_tail(11)));
     }
 
     #[test]

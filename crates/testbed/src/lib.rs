@@ -24,6 +24,7 @@
 //! assert!(lat.total_s() < 1.0); // classical codecs are edge-friendly
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod device;

@@ -53,6 +53,7 @@
 //! simulated, and `EXPERIMENTS.md` (built by the `assemble_experiments` bin)
 //! for paper-vs-measured numbers of every table/figure.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use easz_codecs as codecs;

@@ -9,6 +9,11 @@
 //! allocation sized from unvalidated header fields (the dimension-bomb
 //! mutations would abort the process long before the assertion if the
 //! `MAX_PIXELS` budget were not enforced up front).
+//!
+//! Beside the random sweeps, one deterministic sweep holds every exact
+//! layout (container, mask side channel, `ERROR`, `IMAGE`, `DECODE_BATCH`,
+//! STATS v1–v4, TRACE) to its contract: every strict prefix and one
+//! trailing byte are rejected.
 
 use easz::codecs::{JpegLikeCodec, Quality};
 use easz::core::{EaszConfig, EaszDecoder, EaszEncoded, EaszEncoder, MaskStrategy};
@@ -268,4 +273,73 @@ fn live_server_survives_mutated_frames_and_always_settles() {
     );
     drop(client);
     handle.shutdown().expect("clean shutdown");
+}
+
+/// The exact-layout contract on one valid instance: it parses, while every
+/// strict prefix and the instance plus one trailing byte are rejected — and
+/// nothing on the way panics.
+fn assert_exact<T, E>(name: &str, valid: &[u8], parse: impl Fn(&[u8]) -> Result<T, E>) {
+    assert!(parse(valid).is_ok(), "{name}: the valid instance must parse");
+    for len in 0..valid.len() {
+        assert!(parse(&valid[..len]).is_err(), "{name}: the {len}-byte prefix must be rejected");
+    }
+    let mut long = valid.to_vec();
+    long.push(0);
+    assert!(parse(&long).is_err(), "{name}: one trailing byte must be rejected");
+}
+
+#[test]
+fn every_exact_layout_rejects_every_prefix_and_a_trailing_byte() {
+    use easz::core::{EraseMask, MaskKind};
+    use easz::image::{Channels, ImageU8};
+    use easz::server::{ServerMetrics, ServerStats, TraceReport, TraceSpan, LATENCY_BUCKETS};
+
+    // The container and its mask side channel, across strategies and
+    // format versions; plus a grid whose cells end mid-byte (pad bits).
+    for (i, container) in corpus().iter().enumerate() {
+        assert_exact(&format!("container {i}"), container, EaszEncoded::from_bytes);
+        let mask = EaszEncoded::from_bytes(container).expect("corpus parses").mask_bytes;
+        assert_exact(&format!("mask of container {i}"), &mask, EraseMask::from_bytes);
+    }
+    let padded = MaskKind::Diagonal { n_grid: 3 }.generate(0).to_bytes();
+    assert_exact("3x3 mask", &padded, EraseMask::from_bytes);
+
+    // The request and reply payloads.
+    let error = protocol::WireError { code: ErrorCode::Malformed, message: "no such grid".into() };
+    assert_exact("ERROR", &error.to_payload(), protocol::WireError::from_payload);
+    let image = ImageU8::from_vec(3, 2, Channels::Rgb, (0..18).collect());
+    assert_exact("IMAGE", &protocol::encode_image(&image), protocol::decode_image);
+    let batch = protocol::encode_batch(&[b"one", b"", b"three"]);
+    assert_exact("DECODE_BATCH", &batch, |b| {
+        protocol::decode_batch_payload(b, 64).map(|c| c.len())
+    });
+
+    // STATS at every payload version: each is the v4 payload cut after its
+    // own last block, with its version byte.
+    let metrics = ServerMetrics::new();
+    metrics.record_requests(3);
+    metrics.record_error(ErrorCode::BadMagic);
+    metrics.record_error(ErrorCode::Protocol);
+    metrics.record_connection_open();
+    metrics.record_service(900);
+    let v4 = metrics.snapshot().to_payload();
+    let v3_len = v4.len() - (1 + 3 * LATENCY_BUCKETS * 8);
+    for (version, len) in [(1u8, v3_len - 8 * 8), (2, v3_len - 3 * 8), (3, v3_len), (4, v4.len())] {
+        let mut payload = v4[..len].to_vec();
+        payload[0] = version;
+        assert_exact(&format!("STATS v{version}"), &payload, ServerStats::from_payload);
+    }
+
+    // TRACE, with spans in both lists.
+    let span = |id| TraceSpan {
+        id,
+        source: 7,
+        start_us: 100 * id,
+        frame: protocol::DECODE,
+        ok: id % 2 == 0,
+        stamps: [id as u32; easz::server::TRACE_STAGES],
+    };
+    let report =
+        TraceReport { recent: vec![span(1), span(2)], slow: vec![span(3)], ..Default::default() };
+    assert_exact("TRACE", &report.to_payload(), TraceReport::from_payload);
 }
