@@ -11,7 +11,7 @@
 //! losses (L1 and a frequency-weighted perceptual term). `Graph` implements
 //! [`Executor`], so the `nn` layers' one `forward` records onto it.
 
-use crate::kernels::{gelu_bwd, gelu_fwd};
+use crate::kernels::gelu_bwd;
 use crate::nn::Executor;
 use crate::params::{ParamId, ParamSet};
 use crate::tensor::{inverse_permutation, Tensor};
@@ -343,7 +343,8 @@ impl<'p> Graph<'p> {
 
     /// GELU activation (tanh approximation).
     pub fn gelu(&mut self, a: Var) -> Var {
-        let value = self.nodes[a.0].value.map(gelu_fwd);
+        let mut value = self.nodes[a.0].value.clone();
+        crate::kernels::gelu_in_place(value.data_mut());
         self.push(value, Op::Gelu(a))
     }
 

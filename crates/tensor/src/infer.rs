@@ -459,9 +459,7 @@ impl<'p, 'a> InferenceSession<'p, 'a> {
 
     /// GELU activation (tanh approximation), in place.
     pub fn gelu_in_place(&mut self, t: &mut ScratchTensor) {
-        for v in t.data_mut() {
-            *v = kernels::gelu_fwd(*v);
-        }
+        kernels::gelu_in_place(t.data_mut());
     }
 
     /// Multiplies by a constant, in place.

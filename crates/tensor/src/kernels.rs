@@ -19,6 +19,7 @@ pub(crate) const GELU_COEF: f32 = 0.044_715;
 /// and it is *portable-deterministic* — pure mul/add/div, so every libc and
 /// platform produces the same bits, where libm implementations differ.
 #[allow(clippy::excessive_precision)] // keep the published coefficients verbatim
+#[inline(always)] // so the AVX2 bodies below vectorise through it
 pub(crate) fn fast_tanh(x: f32) -> f32 {
     // Beyond ~7.9 tanh is 1.0 to within f32 rounding of this rational.
     let x = x.clamp(-7.905_311, 7.905_311);
@@ -44,6 +45,7 @@ pub(crate) fn fast_tanh(x: f32) -> f32 {
 /// [`fast_tanh`], portable-deterministic pure arithmetic where libm's
 /// `expf` differs across platforms.
 #[allow(clippy::excessive_precision)] // keep the published coefficients verbatim
+#[inline(always)] // so the AVX2 bodies below vectorise through it
 pub(crate) fn fast_exp(x: f32) -> f32 {
     // Below this exp underflows to 0; above it overflows to inf. Softmax
     // feeds max-subtracted inputs (≤ 0), but keep the function total.
@@ -55,7 +57,8 @@ pub(crate) fn fast_exp(x: f32) -> f32 {
     // x86-64): adding 2^23 forces the fraction bits out, and the result
     // stays exact because |x·log2e| < 2^7.
     const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23
-    let n = (x * LOG2E + MAGIC) - MAGIC;
+    let t = x * LOG2E + MAGIC;
+    let n = t - MAGIC;
     let r = x - n * LN2_HI - n * LN2_LO;
     let mut p = 1.987_569_2e-4f32;
     p = p * r + 1.398_199_9e-3;
@@ -64,13 +67,17 @@ pub(crate) fn fast_exp(x: f32) -> f32 {
     p = p * r + 1.666_666_5e-1;
     p = p * r + 5.000_000_1e-1;
     let p = p * r * r + r + 1.0;
-    // 2^n via the exponent field (n is integral and within f32 range).
-    let bits = (((n as i32) + 127) as u32) << 23;
+    // 2^n via the exponent field. `t` lies in MAGIC's binade, where one ulp
+    // is 1, so its bits are MAGIC's plus the integer `n`: an integer
+    // subtraction yields `n as i32` exactly, and unlike the saturating
+    // float-to-int cast it vectorises.
+    let bits = t.to_bits().wrapping_sub(MAGIC.to_bits()).wrapping_add(127) << 23;
     p * f32::from_bits(bits)
 }
 
-/// GELU forward (tanh approximation), applied per element by both engines.
-pub(crate) fn gelu_fwd(x: f32) -> f32 {
+/// GELU forward (tanh approximation) of one element.
+#[inline(always)]
+fn gelu_fwd(x: f32) -> f32 {
     0.5 * x * (1.0 + fast_tanh(SQRT_2_OVER_PI * (x + GELU_COEF * x * x * x)))
 }
 
@@ -83,24 +90,132 @@ pub(crate) fn gelu_bwd(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
-/// Numerically stabilised softmax over contiguous length-`d` chunks,
-/// in place.
+/// GELU forward over every element, in place, as both engines apply it.
+///
+/// Dispatches to an AVX2 compilation of the same loop when the CPU has it.
+/// The op is elementwise and the body is pure mul/add/div (never fused), so
+/// lane width cannot change a bit.
+pub(crate) fn gelu_in_place(data: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // Safety: the `avx2` feature was just verified at runtime.
+        unsafe { gelu_in_place_avx2(data) };
+        return;
+    }
+    gelu_in_place_generic(data);
+}
+
+/// [`gelu_in_place`]'s body compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gelu_in_place_avx2(data: &mut [f32]) {
+    gelu_in_place_generic(data);
+}
+
+#[inline(always)]
+fn gelu_in_place_generic(data: &mut [f32]) {
+    for v in data {
+        *v = gelu_fwd(*v);
+    }
+}
+
+/// Rows the row-wise kernels below walk side by side. Their sums are
+/// sequential add chains, one per row, whose latency bounds a lone row;
+/// eight independent chains keep the FP adder busy instead.
+const ROW_INTERLEAVE: usize = 8;
+
+/// Numerically stabilised softmax over contiguous length-`d` rows, in
+/// place. `data.len()` is a multiple of `d`.
+///
+/// Each row takes four passes: the max; the `fast_exp(v - max)` writes;
+/// the sum, left to right from `0.0`; the divide. Those are the per-element
+/// operations of one fused loop in the same order, so the bits are the
+/// same, but the exp and divide passes now vectorise, and the sum chains of
+/// [`ROW_INTERLEAVE`] rows overlap. Dispatches to an AVX2 compilation of
+/// the same body when the CPU has it.
 pub(crate) fn softmax_last_axis(data: &mut [f32], d: usize) {
-    for chunk in data.chunks_mut(d) {
-        let m = chunk.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let mut sum = 0.0;
-        for v in chunk.iter_mut() {
+    debug_assert!(data.len().is_multiple_of(d), "softmax over ragged rows");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // Safety: the `avx2` feature was just verified at runtime.
+        unsafe { softmax_last_axis_avx2(data, d) };
+        return;
+    }
+    softmax_last_axis_generic(data, d);
+}
+
+/// [`softmax_last_axis`]'s body compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn softmax_last_axis_avx2(data: &mut [f32], d: usize) {
+    softmax_last_axis_generic(data, d);
+}
+
+#[inline(always)]
+fn softmax_last_axis_generic(data: &mut [f32], d: usize) {
+    let mut groups = data.chunks_exact_mut(ROW_INTERLEAVE * d);
+    for group in &mut groups {
+        softmax_rows::<ROW_INTERLEAVE>(group, d);
+    }
+    for row in groups.into_remainder().chunks_exact_mut(d) {
+        softmax_rows::<1>(row, d);
+    }
+}
+
+/// The first `R` length-`d` rows of `group`, as separate slices so a loop
+/// over a column index can step every row at once.
+#[inline(always)]
+pub(crate) fn rows_of<const R: usize>(group: &[f32], d: usize) -> [&[f32]; R] {
+    let mut rows = group.chunks_exact(d);
+    std::array::from_fn(|_| rows.next().expect("group holds R rows"))
+}
+
+/// Softmax of the `R` length-`d` rows of `group`.
+#[inline(always)]
+fn softmax_rows<const R: usize>(group: &mut [f32], d: usize) {
+    // A maximum does not depend on the order it is taken in, except for
+    // the sign of a zero maximum, and `fast_exp(v - 0.0)` equals
+    // `fast_exp(v - -0.0)` for every `v`: each row's fold may vectorise.
+    let max =
+        rows_of::<R>(group, d).map(|row| row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b)));
+    for (row, &m) in group.chunks_exact_mut(d).zip(&max) {
+        for v in row {
             *v = fast_exp(*v - m);
-            sum += *v;
         }
-        for v in chunk.iter_mut() {
-            *v /= sum;
+    }
+    let mut sum = [0.0f32; R];
+    {
+        let rows = rows_of::<R>(group, d);
+        for j in 0..d {
+            for (s, row) in sum.iter_mut().zip(&rows) {
+                *s += row[j];
+            }
+        }
+    }
+    for (row, &s) in group.chunks_exact_mut(d).zip(&sum) {
+        for v in row {
+            *v /= s;
         }
     }
 }
 
-/// Layer norm over contiguous length-`d` chunks with learned gain/bias,
-/// in place.
+/// Layer norm over contiguous length-`d` rows with learned gain/bias, in
+/// place. `data.len()` is a multiple of `d`.
+///
+/// Per row: the mean, the variance, then `(v - mean) * inv * gamma + beta`
+/// per element. The mean and variance sums run left to right from `-0.0`
+/// (the neutral element `Iterator::sum` folds from), one chain per row,
+/// over [`ROW_INTERLEAVE`] rows side by side; the normalising pass
+/// vectorises. Dispatches to an AVX2 compilation of the same body when the
+/// CPU has it.
 pub(crate) fn layer_norm_last_axis(
     data: &mut [f32],
     d: usize,
@@ -108,12 +223,76 @@ pub(crate) fn layer_norm_last_axis(
     beta: &[f32],
     eps: f32,
 ) {
-    for chunk in data.chunks_mut(d) {
-        let mean = chunk.iter().sum::<f32>() / d as f32;
-        let var = chunk.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let inv = 1.0 / (var + eps).sqrt();
-        for (j, v) in chunk.iter_mut().enumerate() {
-            *v = (*v - mean) * inv * gamma[j] + beta[j];
+    debug_assert!(data.len().is_multiple_of(d), "layer norm over ragged rows");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // Safety: the `avx2` feature was just verified at runtime.
+        unsafe { layer_norm_last_axis_avx2(data, d, gamma, beta, eps) };
+        return;
+    }
+    layer_norm_last_axis_generic(data, d, gamma, beta, eps);
+}
+
+/// [`layer_norm_last_axis`]'s body compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn layer_norm_last_axis_avx2(
+    data: &mut [f32],
+    d: usize,
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+) {
+    layer_norm_last_axis_generic(data, d, gamma, beta, eps);
+}
+
+#[inline(always)]
+fn layer_norm_last_axis_generic(data: &mut [f32], d: usize, gamma: &[f32], beta: &[f32], eps: f32) {
+    let (gamma, beta) = (&gamma[..d], &beta[..d]);
+    let mut groups = data.chunks_exact_mut(ROW_INTERLEAVE * d);
+    for group in &mut groups {
+        layer_norm_rows::<ROW_INTERLEAVE>(group, d, gamma, beta, eps);
+    }
+    for row in groups.into_remainder().chunks_exact_mut(d) {
+        layer_norm_rows::<1>(row, d, gamma, beta, eps);
+    }
+}
+
+/// Layer norm of the `R` length-`d` rows of `group`.
+#[inline(always)]
+fn layer_norm_rows<const R: usize>(
+    group: &mut [f32],
+    d: usize,
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+) {
+    let mut mean = [-0.0f32; R];
+    let mut var = [-0.0f32; R];
+    {
+        let rows = rows_of::<R>(group, d);
+        for j in 0..d {
+            for (s, row) in mean.iter_mut().zip(&rows) {
+                *s += row[j];
+            }
+        }
+        for s in &mut mean {
+            *s /= d as f32;
+        }
+        for j in 0..d {
+            for ((s, row), &mu) in var.iter_mut().zip(&rows).zip(&mean) {
+                *s += (row[j] - mu) * (row[j] - mu);
+            }
+        }
+    }
+    for (row, (&mu, &var)) in group.chunks_exact_mut(d).zip(mean.iter().zip(&var)) {
+        let inv = 1.0 / (var / d as f32 + eps).sqrt();
+        for ((v, &g), &b) in row.iter_mut().zip(gamma).zip(beta) {
+            *v = (*v - mu) * inv * g + b;
         }
     }
 }
@@ -649,6 +828,125 @@ mod tests {
         assert_eq!(fast_exp(0.0), 1.0);
         assert!(fast_exp(-100.0) < 1e-37, "deep negative must underflow to ~0");
         assert!(fast_exp(100.0).is_finite(), "clamped overflow stays finite");
+    }
+
+    /// The softmax loop shipped before its passes were split, kept as the
+    /// reference for bit equality.
+    fn softmax_reference(data: &mut [f32], d: usize) {
+        for chunk in data.chunks_mut(d) {
+            let m = chunk.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+            let mut sum = 0.0;
+            for v in chunk.iter_mut() {
+                *v = fast_exp(*v - m);
+                sum += *v;
+            }
+            for v in chunk.iter_mut() {
+                *v /= sum;
+            }
+        }
+    }
+
+    /// The layer-norm loop shipped before its rows were interleaved.
+    fn layer_norm_reference(data: &mut [f32], d: usize, gamma: &[f32], beta: &[f32], eps: f32) {
+        for chunk in data.chunks_mut(d) {
+            let mean = chunk.iter().sum::<f32>() / d as f32;
+            let var = chunk.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+            let inv = 1.0 / (var + eps).sqrt();
+            for (j, v) in chunk.iter_mut().enumerate() {
+                *v = (*v - mean) * inv * gamma[j] + beta[j];
+            }
+        }
+    }
+
+    /// The GELU loop both engines ran before it was compiled for AVX2.
+    fn gelu_reference(data: &mut [f32]) {
+        for v in data {
+            *v = gelu_fwd(*v);
+        }
+    }
+
+    /// `rows × width` inputs for the row-kernel sweeps, by `kind`: seeded
+    /// noise; noise wide enough that `v - max` passes the `fast_exp` clamp;
+    /// noise with signed zeros, subnormals, repeated maxima and values at
+    /// the clamp mixed in; a row of `-0.0`; a constant row.
+    fn row_inputs(rows: usize, width: usize, kind: usize, seed: u32) -> Vec<f32> {
+        let specials = [0.0f32, -0.0, 9.0, 9.0, -87.336_54, -88.0, 88.376_26, 1.0e-39, -1.0e-41];
+        let mut s = seed.wrapping_mul(0x9E37_79B9) | 1;
+        (0..rows * width)
+            .map(|i| {
+                s ^= s << 13;
+                s ^= s >> 17;
+                s ^= s << 5;
+                let noise = (s >> 8) as f32 / (1u32 << 20) as f32 - 8.0;
+                match kind {
+                    0 => noise,
+                    1 => noise * 30.0,
+                    2 if i % 3 == 0 => specials[(s as usize) % specials.len()],
+                    2 => noise,
+                    3 => -0.0,
+                    _ => 3.5,
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `kernel` and `reference` on every ragged `rows × width` input
+    /// and asserts the bits agree.
+    fn sweep_rows(
+        name: &str,
+        kernel: impl Fn(&mut [f32], usize),
+        reference: impl Fn(&mut [f32], usize),
+    ) {
+        for width in [1usize, 7, 8, 15, 16, 17, 48, 64, 65, 129] {
+            for rows in 1..=9 {
+                for kind in 0..5 {
+                    let seed = (width * 131 + rows * 17 + kind) as u32;
+                    let input = row_inputs(rows, width, kind, seed);
+                    let (mut got, mut want) = (input.clone(), input);
+                    kernel(&mut got, width);
+                    reference(&mut want, width);
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{name}: width={width} rows={rows} kind={kind}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_is_bit_identical_to_the_reference() {
+        sweep_rows("dispatched softmax", softmax_last_axis, softmax_reference);
+        sweep_rows("generic softmax", softmax_last_axis_generic, softmax_reference);
+    }
+
+    #[test]
+    fn layer_norm_is_bit_identical_to_the_reference() {
+        // Gains and biases include `-0.0`: an all-`-0.0` row then yields
+        // `-0.0` or `+0.0` depending on whether the mean's sum starts at
+        // `-0.0` or `+0.0`.
+        let gamma = row_inputs(1, 129, 0, 7);
+        let beta: Vec<f32> = row_inputs(1, 129, 0, 8)
+            .iter()
+            .enumerate()
+            .map(|(j, &b)| if j % 4 == 0 { -0.0 } else { b })
+            .collect();
+        let eps = 1e-5;
+        let dispatched = |x: &mut [f32], d| layer_norm_last_axis(x, d, &gamma, &beta, eps);
+        let generic = |x: &mut [f32], d| layer_norm_last_axis_generic(x, d, &gamma, &beta, eps);
+        let reference = |x: &mut [f32], d| layer_norm_reference(x, d, &gamma[..d], &beta[..d], eps);
+        sweep_rows("dispatched layer norm", dispatched, reference);
+        sweep_rows("generic layer norm", generic, reference);
+    }
+
+    #[test]
+    fn gelu_is_bit_identical_to_the_reference() {
+        // GELU is elementwise: a row layout only varies the slice length.
+        let flat = |f: fn(&mut [f32])| move |x: &mut [f32], _: usize| f(x);
+        sweep_rows("dispatched gelu", flat(gelu_in_place), flat(gelu_reference));
+        sweep_rows("generic gelu", flat(gelu_in_place_generic), flat(gelu_reference));
     }
 
     #[test]

@@ -13,28 +13,36 @@
 //! element is accumulated by exactly one worker in the same `k` order as
 //! the serial kernel, so results are bit-identical to serial execution for
 //! any worker count.
+//!
+//! The worker count — the `EASZ_MATMUL_THREADS` cap and the core count —
+//! is read **once per process**: the pool's size and every product's row
+//! chunking come from the same cached value. `available_parallelism`
+//! re-reads cgroup files on each call: ≈ 20 µs on a 2-vCPU Xeon VM, or
+//! ≈ 0.6 ms across the 34 products of a one-patch forward when it ran per
+//! product.
+
+use std::sync::OnceLock;
 
 /// Work threshold (in multiply-accumulate ops) below which a product stays
 /// single-threaded.
 const PAR_THRESHOLD: usize = 1 << 17;
 
 /// Default cap on matmul worker threads; override with the
-/// `EASZ_MATMUL_THREADS` environment variable (read once per process).
+/// `EASZ_MATMUL_THREADS` environment variable.
 const DEFAULT_WORKER_CAP: usize = 8;
 
-fn worker_cap() -> usize {
-    static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("EASZ_MATMUL_THREADS")
+/// Threads a parallel product runs on (the pool's workers plus the
+/// dispatcher): the available cores, capped by `EASZ_MATMUL_THREADS`.
+fn worker_count() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        let cap = std::env::var("EASZ_MATMUL_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_WORKER_CAP)
+            .unwrap_or(DEFAULT_WORKER_CAP);
+        std::thread::available_parallelism().map(|n| n.get().min(cap)).unwrap_or(1)
     })
-}
-
-fn worker_count() -> usize {
-    std::thread::available_parallelism().map(|n| n.get().min(worker_cap())).unwrap_or(1)
 }
 
 /// `C[m,n] = A[m,k] * B[k,n]`, parallelised across row blocks of `A`/`C`.
@@ -44,7 +52,7 @@ pub fn par_matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
     debug_assert_eq!(c.len(), m * n);
     let workers = worker_count();
     if m * n * k < PAR_THRESHOLD || workers <= 1 || m < 2 {
-        matmul_rows(a, b, c, 0, m, k, n);
+        matmul_rows(a, b, c, m, k, n);
         return;
     }
     let chunk = m.div_ceil(workers);
@@ -57,7 +65,7 @@ pub fn par_matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
         // Safety: chunks index disjoint row ranges of `c`, and `pool::run`
         // does not return until every task has finished.
         let c_block = unsafe { std::slice::from_raw_parts_mut(c_base.0.add(row0 * n), rows * n) };
-        matmul_rows(&a[row0 * k..(row0 + rows) * k], b, c_block, 0, rows, k, n);
+        matmul_rows(&a[row0 * k..(row0 + rows) * k], b, c_block, rows, k, n);
     });
 }
 
@@ -147,9 +155,10 @@ struct SendPtr(*mut f32);
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
-/// Output-column block width of the register-tiled kernel: 16 lanes is two
-/// SSE2 (or one AVX-512) accumulator rows and well within x86-64's 16 XMM
-/// registers.
+/// Output-column block width of the register-tiled kernel: 16 lanes are two
+/// AVX2 accumulators per row, so a [`ROW_TILE`]-row tile holds 8 of
+/// x86-64's 16 vector registers. (The baseline SSE2 build needs all 16 for
+/// the tile and spills; it runs only on CPUs without AVX2.)
 const COL_BLOCK: usize = 16;
 
 /// Sequential kernel over a row range of the output: dispatches to an AVX2
@@ -158,14 +167,14 @@ const COL_BLOCK: usize = 16;
 /// element is an independent scalar chain (ascending-`k` mul-then-add from
 /// `0.0`, never fused), vector width cannot change results: every ISA
 /// produces the same bits.
-fn matmul_rows(a: &[f32], b: &[f32], c: &mut [f32], row0: usize, rows: usize, k: usize, n: usize) {
+fn matmul_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // Safety: the `avx2` feature was just verified at runtime.
-        unsafe { matmul_rows_avx2(a, b, c, row0, rows, k, n) };
+        unsafe { matmul_rows_avx2(a, b, c, rows, k, n) };
         return;
     }
-    matmul_rows_generic(a, b, c, row0, rows, k, n);
+    matmul_rows_generic(a, b, c, rows, k, n);
 }
 
 /// The register-tiled body recompiled with AVX2 enabled (the `inline`
@@ -174,67 +183,84 @@ fn matmul_rows(a: &[f32], b: &[f32], c: &mut [f32], row0: usize, rows: usize, k:
 /// rounded everywhere.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_rows_avx2(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    row0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    matmul_rows_generic(a, b, c, row0, rows, k, n);
+unsafe fn matmul_rows_avx2(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
+    matmul_rows_generic(a, b, c, rows, k, n);
 }
 
-/// Register-tiled `ikj` kernel: each length-[`COL_BLOCK`] slice of an
-/// output row accumulates in locals across the whole `k` loop, instead of
-/// re-loading and re-storing `c` on every `k` step like the previous plain
-/// `ikj` loop.
+/// Output rows the register-tiled kernel accumulates together. One load
+/// of a `b` block at each `k` step then feeds every row of the tile, and
+/// the tile's `2 · ROW_TILE` vector accumulators are independent add
+/// chains, where a lone row's two chains leave the adder waiting on its
+/// own latency.
+const ROW_TILE: usize = 4;
+
+/// Register-tiled `ikj` kernel over `rows` output rows: each
+/// [`ROW_TILE`] × [`COL_BLOCK`] tile of the output accumulates in locals
+/// across the whole `k` loop; rows past the last full tile run one at a
+/// time.
 ///
 /// Every output element still starts at `0.0` and accumulates `a[i,k] *
-/// b[k,j]` in ascending-`k` order, so results are bit-identical to the
-/// untiled kernel. No zero-skip on `av`: dense activations almost never
-/// contain exact zeros and the branch pessimizes the inner loop (measured;
-/// the `tensor.parallel.matmul_*_gflops` rows of `benchmark/` re-check it).
+/// b[k,j]` in ascending-`k` order, one multiply and one add at a time, so
+/// results are bit-identical to the untiled kernel (the tests keep the
+/// plain triple loop as the reference). No zero-skip on `av`: dense
+/// activations almost never contain exact zeros and the branch pessimizes
+/// the inner loop (measured; the `tensor.parallel.matmul_*_gflops` rows of
+/// `benchmark/` re-check it).
 #[inline(always)]
-fn matmul_rows_generic(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    row0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    for i in row0..row0 + rows {
-        let crow = &mut c[(i - row0) * n..(i - row0 + 1) * n];
-        let arow = &a[(i - row0) * k..(i - row0 + 1) * k];
-        let mut j0 = 0usize;
-        // Full blocks: fixed-size accumulators so the block stays in
-        // registers across the whole k loop.
-        while j0 + COL_BLOCK <= n {
-            let mut acc = [0.0f32; COL_BLOCK];
-            for (kk, &av) in arow.iter().enumerate() {
-                let brow: &[f32; COL_BLOCK] =
-                    b[kk * n + j0..kk * n + j0 + COL_BLOCK].try_into().expect("block width");
-                for (cv, &bv) in acc.iter_mut().zip(brow.iter()) {
+fn matmul_rows_generic(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
+    if k == 0 {
+        c.fill(0.0);
+        return;
+    }
+    let tiled = rows - rows % ROW_TILE;
+    for r0 in (0..tiled).step_by(ROW_TILE) {
+        let (a, c) = (&a[r0 * k..(r0 + ROW_TILE) * k], &mut c[r0 * n..(r0 + ROW_TILE) * n]);
+        matmul_tile::<ROW_TILE>(a, b, c, k, n);
+    }
+    for r in tiled..rows {
+        matmul_tile::<1>(&a[r * k..(r + 1) * k], b, &mut c[r * n..(r + 1) * n], k, n);
+    }
+}
+
+/// `C[R, n] = A[R, k] · B[k, n]` for one tile of `R` rows (`k > 0`).
+#[inline(always)]
+fn matmul_tile<const R: usize>(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    let arows = crate::kernels::rows_of::<R>(a, k);
+    let mut j0 = 0usize;
+    // Full blocks: fixed-size accumulators so the tile stays in registers
+    // across the whole k loop.
+    while j0 + COL_BLOCK <= n {
+        let mut acc = [[0.0f32; COL_BLOCK]; R];
+        for kk in 0..k {
+            let brow: &[f32; COL_BLOCK] =
+                b[kk * n + j0..kk * n + j0 + COL_BLOCK].try_into().expect("block width");
+            for (accr, arow) in acc.iter_mut().zip(&arows) {
+                let av = arow[kk];
+                for (cv, &bv) in accr.iter_mut().zip(brow) {
                     *cv += av * bv;
                 }
             }
-            crow[j0..j0 + COL_BLOCK].copy_from_slice(&acc);
-            j0 += COL_BLOCK;
         }
-        // Remainder columns (n not a multiple of the block width).
-        if j0 < n {
-            let jb = n - j0;
-            let mut acc = [0.0f32; COL_BLOCK];
-            for (kk, &av) in arow.iter().enumerate() {
-                let brow = &b[kk * n + j0..kk * n + j0 + jb];
-                for (cv, &bv) in acc[..jb].iter_mut().zip(brow.iter()) {
+        for (crow, accr) in c.chunks_exact_mut(n).zip(&acc) {
+            crow[j0..j0 + COL_BLOCK].copy_from_slice(accr);
+        }
+        j0 += COL_BLOCK;
+    }
+    // Remainder columns (n not a multiple of the block width).
+    if j0 < n {
+        let jb = n - j0;
+        let mut acc = [[0.0f32; COL_BLOCK]; R];
+        for kk in 0..k {
+            let brow = &b[kk * n + j0..kk * n + n];
+            for (accr, arow) in acc.iter_mut().zip(&arows) {
+                let av = arow[kk];
+                for (cv, &bv) in accr[..jb].iter_mut().zip(brow) {
                     *cv += av * bv;
                 }
             }
-            crow[j0..j0 + jb].copy_from_slice(&acc[..jb]);
+        }
+        for (crow, accr) in c.chunks_exact_mut(n).zip(&acc) {
+            crow[j0..].copy_from_slice(&accr[..jb]);
         }
     }
 }
@@ -259,7 +285,6 @@ pub fn par_batch_matmul(
                 &a[bi * m * k..(bi + 1) * m * k],
                 &b[bi * k * n..(bi + 1) * k * n],
                 &mut c[bi * m * n..(bi + 1) * m * n],
-                0,
                 m,
                 k,
                 n,
@@ -283,7 +308,6 @@ pub fn par_batch_matmul(
                 &a[(g0 + bi) * m * k..(g0 + bi + 1) * m * k],
                 &b[(g0 + bi) * k * n..(g0 + bi + 1) * k * n],
                 c_block,
-                0,
                 m,
                 k,
                 n,
@@ -303,7 +327,7 @@ pub fn par_batch_matmul(
 /// concurrency, per-call parallelism has nothing left to win.
 mod pool {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex, OnceLock};
+    use std::sync::{Condvar, Mutex, OnceLock, TryLockError};
 
     /// Type-erased task closure (`fn(task_index)`), valid for the duration
     /// of one `run` call.
@@ -429,12 +453,20 @@ mod pool {
             return;
         }
         let pool = global();
-        // One dispatcher at a time; concurrent callers execute inline.
-        let Ok(_dispatch) = pool.dispatch.try_lock() else {
-            for i in 0..n_tasks {
-                f(i);
+        // One dispatcher at a time; concurrent callers execute inline. The
+        // mutex guards no data, so a dispatcher that unwound out of a
+        // panicking job leaves nothing to repair: a poisoned lock is
+        // acquired like a clean one, or one panic would serialise every
+        // later job of the process.
+        let _dispatch = match pool.dispatch.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                for i in 0..n_tasks {
+                    f(i);
+                }
+                return;
             }
-            return;
         };
         let shared = pool.shared;
         // Quiesce: no worker may still reference the previous job when the
@@ -498,7 +530,12 @@ mod pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
+    /// The contract every product keeps: each output element is `0.0` plus
+    /// the `a[i,k] * b[k,j]` products in ascending `k`, one multiply and
+    /// one add at a time.
     fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
@@ -513,23 +550,73 @@ mod tests {
         c
     }
 
+    /// Non-integral values in `[-1, 1)`, so that any change of summation
+    /// order shows in the low bits.
+    fn values(len: usize, seed: u32) -> Vec<f32> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9) | 1;
+        (0..len)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 17;
+                s ^= s << 5;
+                (s >> 8) as f32 / (1u32 << 23) as f32 - 1.0
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn parallel_matches_naive_large() {
-        // Big enough to trigger the parallel path.
-        let (m, k, n) = (96, 64, 96);
-        let a: Vec<f32> = (0..m * k).map(|i| ((i * 31 + 7) % 13) as f32 - 6.0).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i * 17 + 3) % 11) as f32 - 5.0).collect();
-        let mut c = vec![0.0f32; m * n];
-        par_matmul(&a, &b, &mut c, m, k, n);
-        let expect = naive(&a, &b, m, k, n);
-        for (x, y) in c.iter().zip(expect.iter()) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
+        // (96, 64, 96) and the ragged shapes after it take the pool; the
+        // last three stay under `PAR_THRESHOLD` and run inline.
+        for (case, (m, k, n)) in [
+            (96usize, 64usize, 96usize),
+            (97, 64, 95),
+            (48, 64, 64),
+            (33, 129, 65),
+            (7, 17, 15),
+            (1, 64, 48),
+            (2, 5, 1),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let a = values(m * k, 2 * case as u32 + 1);
+            let b = values(k * n, 2 * case as u32 + 2);
+            let mut c = vec![0.0f32; m * n];
+            par_matmul(&a, &b, &mut c, m, k, n);
+            assert_eq!(bits(&c), bits(&naive(&a, &b, m, k, n)), "m={m} k={k} n={n}");
+        }
+    }
+
+    #[test]
+    fn both_matmul_bodies_match_naive_on_ragged_tiles() {
+        // Row counts around the 4-row tile, column counts around the
+        // 16-wide block, and `k = 0`; `naive` is the untiled reference.
+        let mut case = 0u32;
+        for rows in 1..=9 {
+            for n in [1usize, 7, 15, 16, 17, 33, 48, 65] {
+                for k in [0usize, 1, 7, 64] {
+                    case += 1;
+                    let a = values(rows * k, 2 * case + 1001);
+                    let b = values(k * n, 2 * case + 1002);
+                    let want = bits(&naive(&a, &b, rows, k, n));
+                    let mut c = vec![f32::NAN; rows * n];
+                    matmul_rows(&a, &b, &mut c, rows, k, n);
+                    assert_eq!(bits(&c), want, "dispatched: rows={rows} k={k} n={n}");
+                    c.fill(f32::NAN);
+                    matmul_rows_generic(&a, &b, &mut c, rows, k, n);
+                    assert_eq!(bits(&c), want, "generic: rows={rows} k={k} n={n}");
+                }
+            }
         }
     }
 
     #[test]
     fn run_tasks_covers_every_index_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         for n in [0usize, 1, 2, 7, 64] {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             run_tasks(n, &|i| {
@@ -544,17 +631,65 @@ mod tests {
 
     #[test]
     fn parallel_batch_matches_naive() {
-        let (g, m, k, n) = (16, 24, 16, 24);
-        let a: Vec<f32> = (0..g * m * k).map(|i| ((i * 7 + 1) % 9) as f32 * 0.5).collect();
-        let b: Vec<f32> = (0..g * k * n).map(|i| ((i * 5 + 2) % 7) as f32 * 0.25).collect();
-        let mut c = vec![0.0f32; g * m * n];
-        par_batch_matmul(&a, &b, &mut c, g, m, k, n);
-        for bi in 0..g {
-            let expect =
-                naive(&a[bi * m * k..(bi + 1) * m * k], &b[bi * k * n..(bi + 1) * k * n], m, k, n);
-            for (x, y) in c[bi * m * n..(bi + 1) * m * n].iter().zip(expect.iter()) {
-                assert!((x - y).abs() < 1e-3);
+        // The first three take the pool; the last three run inline.
+        for (case, (g, m, k, n)) in [
+            (16usize, 24usize, 16usize, 24usize),
+            (17, 13, 33, 19),
+            (3, 48, 24, 48),
+            (5, 7, 9, 17),
+            (2, 1, 64, 1),
+            (1, 9, 8, 65),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let a = values(g * m * k, 2 * case as u32 + 101);
+            let b = values(g * k * n, 2 * case as u32 + 102);
+            let mut c = vec![0.0f32; g * m * n];
+            par_batch_matmul(&a, &b, &mut c, g, m, k, n);
+            for bi in 0..g {
+                let (ab, bb) = (&a[bi * m * k..(bi + 1) * m * k], &b[bi * k * n..(bi + 1) * k * n]);
+                assert_eq!(
+                    bits(&c[bi * m * n..(bi + 1) * m * n]),
+                    bits(&naive(ab, bb, m, k, n)),
+                    "g={g} m={m} k={k} n={n} batch {bi}"
+                );
             }
         }
+    }
+
+    /// Whether the two tasks of one `run_tasks(2, ..)` ran at the same
+    /// time: each spins up to 300 ms for the other to arrive.
+    fn two_tasks_overlap() -> bool {
+        let arrived = AtomicUsize::new(0);
+        let met = AtomicUsize::new(0);
+        run_tasks(2, &|_| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let start = Instant::now();
+            while arrived.load(Ordering::SeqCst) < 2 && start.elapsed() < Duration::from_millis(300)
+            {
+                std::hint::spin_loop();
+            }
+            if arrived.load(Ordering::SeqCst) == 2 {
+                met.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        met.load(Ordering::SeqCst) == 2
+    }
+
+    #[test]
+    fn a_panicking_task_leaves_the_pool_parallel() {
+        if worker_count() < 2 {
+            return; // one thread: there is no parallelism to lose
+        }
+        // Another test of this binary may hold the dispatch slot for a
+        // moment (its tasks then run inline), so allow a few attempts.
+        let overlaps = || (0..10).any(|_| two_tasks_overlap());
+        assert!(overlaps(), "two pool tasks never ran at the same time");
+        let caught = std::panic::catch_unwind(|| {
+            run_tasks(2, &|i| assert!(i != 1, "injected task panic"));
+        });
+        assert!(caught.is_err(), "a task panic must reach the caller");
+        assert!(overlaps(), "after one task panicked, the pool ran every later job inline");
     }
 }

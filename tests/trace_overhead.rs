@@ -5,26 +5,42 @@
 //!
 //! This lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-global: sharing a binary with other
-//! tests would let their allocations race the counters.
+//! tests would let their allocations race the counters. Even alone, the
+//! harness's main thread allocates its bookkeeping for the test it has just
+//! spawned, and now and then does so inside a measured window, so only the
+//! test thread's allocations are counted.
 
 use easz::server::{TraceConfig, TraceStage, Tracer};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts every allocation (and reallocation) routed through the global
-/// allocator; frees are not tracked — the gate is "no new allocations".
+/// Counts every allocation (and reallocation) the counted thread routes
+/// through the global allocator; frees are not tracked — the gate is "no
+/// new allocations".
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread that runs the measured loops.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -40,6 +56,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 // and a second test's bookkeeping would race the measured windows.
 #[test]
 fn span_capture_is_allocation_free_after_construction() {
+    COUNTED.with(|c| c.set(true));
     // Ring, slow log and accumulators are all sized at construction; every
     // capture after this point reuses them.
     let tracer = Tracer::new(TraceConfig {
