@@ -1,7 +1,7 @@
 //! The decode gateway: a cross-connection batching scheduler.
 //!
-//! Without it, each connection decodes alone and the transformer forward —
-//! the dominant server-side cost — runs once per stream. The gateway parks
+//! Decoding each connection alone would run the transformer forward — the
+//! dominant server-side cost — once per stream. The gateway parks
 //! per-connection `DECODE` requests in a bounded queue; a scheduler thread
 //! closes a *batching window* when either [`GatewayConfig::max_batch`] jobs
 //! have accumulated or the window's wait budget has elapsed since the
@@ -23,10 +23,10 @@
 //! will not plausibly fill a window within the budget — sparse traffic
 //! stops paying latency for batching that will never materialise.
 //!
-//! The gateway degrades gracefully rather than blocking: a full queue or a
-//! shutdown in progress hands the container back to the connection handler,
-//! which runs it through the same [`decode_window`] on its own thread
-//! (threaded path) or sheds it with a typed `BUSY` error (reactor path).
+//! Every decode of the server passes through here, on both front ends. The
+//! gateway degrades gracefully rather than blocking: a full queue or a
+//! shutdown in progress refuses the job, and the connection answers it with
+//! a positional `BUSY` error. Nothing decodes outside the gateway's workers.
 
 use crate::fault;
 use crate::metrics::ServerMetrics;
@@ -61,8 +61,7 @@ pub struct GatewayConfig {
     /// lets a new window decode while a slow one is still in flight.
     pub workers: usize,
     /// Requests parked in the queue before the gateway starts refusing
-    /// (refused requests decode inline on their connection's thread, or
-    /// are shed with `BUSY` on the reactor path).
+    /// (refused requests are shed with a positional `BUSY` error).
     pub queue_depth: usize,
     /// Scale the wait budget by the observed arrival rate: when the
     /// inter-arrival EWMA says the window cannot plausibly fill within
@@ -252,15 +251,11 @@ impl Batcher {
     /// Parks a parsed container for batched decoding on the given engine
     /// tier. `source` identifies the submitting connection for the
     /// round-robin fairness draw; `reply` is invoked exactly once with the
-    /// result, on a decode-worker thread. Returns the container and
-    /// callback back if the gateway cannot take the job (full queue or
-    /// shutdown), in which case the caller decodes inline or sheds. Jobs
+    /// result, on a decode-worker thread. If the gateway cannot take the
+    /// job (full queue or shutdown) the container and callback are dropped
+    /// and only the span comes back, for the caller's `BUSY` reply. Jobs
     /// on different tiers may share a window but never a model forward
     /// (the tier joins the decoder's fusion key).
-    // The large Err variant is the point: the rejected job travels back to
-    // the caller whole so the threaded path can decode it inline and the
-    // reactor can shed it, without either path cloning the container.
-    #[allow(clippy::result_large_err)]
     pub fn submit(
         &self,
         container: EaszEncoded,
@@ -268,15 +263,15 @@ impl Batcher {
         source: u64,
         span: Option<SpanCtx>,
         reply: ReplyFn,
-    ) -> Result<(), (EaszEncoded, Option<SpanCtx>, ReplyFn)> {
+    ) -> Result<(), Option<SpanCtx>> {
         // Fault hook (compiles out of default builds): refuse as if the
-        // queue were saturated, exercising the inline/shed degradation.
+        // queue were saturated, exercising the shed path.
         if fault::submit_refuse() {
-            return Err((container, span, reply));
+            return Err(span);
         }
         let mut state = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         if state.shutdown || state.total >= self.config.queue_depth {
-            return Err((container, span, reply));
+            return Err(span);
         }
         let now = Instant::now();
         if let Some(prev) = state.last_arrival {
@@ -449,8 +444,8 @@ impl Batcher {
             // Hand over — but never outrun the workers: the ready backlog
             // is bounded at one pending window per worker, so under
             // sustained overload jobs pile up in the *submission* queue,
-            // whose bound is what makes `submit` refuse and degrade to
-            // inline decode (and what the queue-depth metrics watch).
+            // whose bound is what makes `submit` refuse and the front end
+            // shed (and what the queue-depth metrics watch).
             // With deadlines on, the wait ticks and sweeps instead of
             // parking: a stalled worker pool must not let drawn or queued
             // jobs age past their deadline unanswered.
@@ -560,10 +555,8 @@ fn stamp_all(spans: &mut [Option<SpanCtx>], stage: TraceStage) {
 
 /// The one decode routine of the serving stack: decodes a window of parsed
 /// containers, each on its engine, and returns the results in window order
-/// plus whether a panic was caught. A gateway worker runs its batching
-/// windows through it; a connection handler runs whatever the gateway did
-/// not take (no gateway, full queue, shutdown) — a lone `DECODE` as a
-/// window of one.
+/// plus whether a panic was caught. Only a gateway worker calls it, with
+/// one batching window ([`Batcher::run_window`]).
 ///
 /// The window decodes as one fused call under `catch_unwind`. If that
 /// panics, each container is re-decoded alone under its own boundary — a
@@ -573,7 +566,7 @@ fn stamp_all(spans: &mut [Option<SpanCtx>], stage: TraceStage) {
 /// fault hooks (a stalled decode, per-container forced panics) apply here
 /// and nowhere else. `spans` are stamped `DecodeStart`/`DecodeEnd`; the
 /// batch-width and decode-time histograms are fed.
-pub(crate) fn decode_window(
+fn decode_window(
     decoder: &EaszDecoder<'_>,
     metrics: &ServerMetrics,
     containers: &[EaszEncoded],
@@ -682,25 +675,18 @@ mod tests {
     }
 
     /// Submits through a channel-backed reply, mirroring the threaded path.
+    /// `None` if the gateway refused the job.
     fn submit_chan(
         batcher: &Batcher,
         container: EaszEncoded,
         engine: DecodeEngine,
         source: u64,
-    ) -> Result<mpsc::Receiver<Result<ImageF32, EaszError>>, EaszEncoded> {
+    ) -> Option<mpsc::Receiver<Result<ImageF32, EaszError>>> {
         let (tx, rx) = mpsc::channel();
-        batcher
-            .submit(
-                container,
-                engine,
-                source,
-                None,
-                Box::new(move |result, _span| {
-                    let _ = tx.send(result);
-                }),
-            )
-            .map(|()| rx)
-            .map_err(|(c, _, _)| c)
+        let reply = Box::new(move |result, _span| {
+            let _ = tx.send(result);
+        });
+        batcher.submit(container, engine, source, None, reply).ok().map(|()| rx)
     }
 
     /// Drives a batcher with a real decoder on scoped threads, shutting
@@ -827,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_hands_the_container_back() {
+    fn full_queue_and_shutdown_refuse_the_job() {
         let _quiet = no_faults();
         let config = GatewayConfig {
             max_batch: 64,
@@ -839,13 +825,11 @@ mod tests {
         let batcher = Batcher::new(config, Arc::new(ServerMetrics::new()));
         let c = container(9);
         let tier = DecodeEngine::TapeFree;
-        assert!(submit_chan(&batcher, c.clone(), tier, 1).is_ok());
-        assert!(submit_chan(&batcher, c.clone(), tier, 2).is_ok());
-        let refused = submit_chan(&batcher, c.clone(), tier, 3).expect_err("queue is full");
-        assert_eq!(refused, c, "the container comes back for inline decode");
+        assert!(submit_chan(&batcher, c.clone(), tier, 1).is_some());
+        assert!(submit_chan(&batcher, c.clone(), tier, 2).is_some());
+        assert!(submit_chan(&batcher, c.clone(), tier, 3).is_none(), "queue is full");
         batcher.shutdown();
-        let refused = submit_chan(&batcher, c.clone(), tier, 1).expect_err("shutdown refuses work");
-        assert_eq!(refused, c);
+        assert!(submit_chan(&batcher, c, tier, 1).is_none(), "shutdown refuses work");
     }
 
     #[test]
@@ -980,10 +964,12 @@ mod tests {
         // whenever dt < e), but a loaded machine can stall any single
         // submit past `first` (and a run of stalls inflates the EWMA, so
         // one fast submit stops sufficing) — keep submitting until the
-        // geometric decay wins.
+        // geometric decay wins. The container is encoded once, up front:
+        // encoding inside the loop would space the submissions out.
+        let next = container(3);
         let mut second = first;
         for _ in 0..500 {
-            submit_chan(&batcher, container(3), tier, 1).expect("room");
+            submit_chan(&batcher, next.clone(), tier, 1).expect("room");
             second = metrics.arrival_ewma_us();
             if second < first {
                 break;
@@ -1117,9 +1103,8 @@ mod tests {
             ..fault::FaultPlan::default()
         });
         let batcher = Batcher::new(GatewayConfig::default(), Arc::new(ServerMetrics::new()));
-        let c = container(2);
-        let refused = submit_chan(&batcher, c.clone(), DecodeEngine::TapeFree, 1)
-            .expect_err("every submit refused");
-        assert_eq!(refused, c, "the container comes back for inline decode");
+        let refused = submit_chan(&batcher, container(2), DecodeEngine::TapeFree, 1);
+        assert!(refused.is_none(), "every submit refused");
+        assert_eq!(batcher.queue.lock().unwrap().total, 0, "nothing was parked");
     }
 }

@@ -11,8 +11,10 @@
 //! requests naming tier 1) run on the int8 fast path, everything else on the
 //! bit-exact f32 path.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use easz_core::zoo;
-use easz_server::{EaszServer, GatewayConfig, ReactorConfig, ServerConfig, TraceConfig};
+use easz_server::{EaszServer, ReactorConfig, ServerConfig, TraceConfig};
 use std::net::TcpListener;
 use std::process::exit;
 use std::time::Duration;
@@ -36,21 +38,20 @@ const USAGE: &str = "usage: easz-serve [--addr HOST:PORT] [--model DOMAIN]...
   --max-batch N           largest accepted DECODE_BATCH count (default 64)
   --read-timeout-ms MS    disconnect a connection idle for MS milliseconds
                           (default: never; 0 also means never)
-  --gateway-max-batch N   cross-connection decode gateway window size
-                          (default 8). Passing ANY --gateway-* flag enables
-                          the gateway; without one it stays disabled.
+  --gateway-max-batch N   decode gateway window size (default 8). Every
+                          decode goes through the gateway on both front
+                          ends; the --gateway-* flags only tune it
   --gateway-max-wait-us US window latency budget in microseconds (default 2000)
   --gateway-workers N     gateway decode worker threads (default 2)
   --gateway-adaptive-wait scale the window wait budget by the observed
-                          arrival rate (sparse traffic dispatches early)
+                          arrival rate (sparse traffic dispatches early;
+                          on by default)
   --gateway-deadline-us US answer a queued decode with DEADLINE_EXCEEDED when
                           no worker starts it within US microseconds
                           (default 0 = wait forever)
   --reactor               serve through the epoll reactor front end (one
                           readiness loop instead of one thread per
-                          connection; Linux only). Decodes always go through
-                          the gateway — a default adaptive one if no
-                          --gateway-* flag is given.
+                          connection; Linux only)
   --reactor-max-conns N   connections admitted before BUSY (default 4096)
   --reactor-max-inflight N per-connection in-flight decode cap (default 32)
   --trace-sample N        capture every Nth request as a trace span served
@@ -66,7 +67,6 @@ const USAGE: &str = "usage: easz-serve [--addr HOST:PORT] [--model DOMAIN]...
 fn main() {
     let mut addr = "127.0.0.1:4860".to_string();
     let mut config = ServerConfig::default();
-    let mut gateway: Option<GatewayConfig> = None;
     let mut reactor: Option<ReactorConfig> = None;
     let mut trace: Option<TraceConfig> = None;
     let mut domains: Vec<zoo::FinetuneDomain> = Vec::new();
@@ -97,23 +97,17 @@ fn main() {
                     Some(Duration::from_millis(parse(&value("--read-timeout-ms")) as u64));
             }
             "--gateway-max-batch" => {
-                gateway.get_or_insert_with(GatewayConfig::default).max_batch =
-                    parse(&value("--gateway-max-batch"));
+                config.gateway.max_batch = parse(&value("--gateway-max-batch"));
             }
             "--gateway-max-wait-us" => {
-                gateway.get_or_insert_with(GatewayConfig::default).max_wait_us =
-                    parse(&value("--gateway-max-wait-us")) as u64;
+                config.gateway.max_wait_us = parse(&value("--gateway-max-wait-us")) as u64;
             }
             "--gateway-workers" => {
-                gateway.get_or_insert_with(GatewayConfig::default).workers =
-                    parse(&value("--gateway-workers"));
+                config.gateway.workers = parse(&value("--gateway-workers"));
             }
-            "--gateway-adaptive-wait" => {
-                gateway.get_or_insert_with(GatewayConfig::default).adaptive_wait = true;
-            }
+            "--gateway-adaptive-wait" => config.gateway.adaptive_wait = true,
             "--gateway-deadline-us" => {
-                gateway.get_or_insert_with(GatewayConfig::default).deadline_us =
-                    parse(&value("--gateway-deadline-us")) as u64;
+                config.gateway.deadline_us = parse(&value("--gateway-deadline-us")) as u64;
             }
             "--reactor" => {
                 reactor.get_or_insert_with(ReactorConfig::default);
@@ -148,7 +142,6 @@ fn main() {
             }
         }
     }
-    config.gateway = gateway;
     config.reactor = reactor;
     config.trace = trace;
 
@@ -168,17 +161,14 @@ fn main() {
         }
     };
     let bound = listener.local_addr().map(|a| a.to_string()).unwrap_or(addr);
-    let gateway_desc = match &config.gateway {
-        Some(g) => format!(
-            "gateway on: window {} reqs / {} µs{}, {} workers",
-            g.max_batch,
-            g.max_wait_us,
-            if g.adaptive_wait { " (adaptive)" } else { "" },
-            g.workers
-        ),
-        None if config.reactor.is_some() => "gateway on: reactor default (adaptive)".to_string(),
-        None => "gateway off".to_string(),
-    };
+    let g = &config.gateway;
+    let gateway_desc = format!(
+        "gateway window {} reqs / {} µs{}, {} workers",
+        g.max_batch,
+        g.max_wait_us,
+        if g.adaptive_wait { " (adaptive)" } else { "" },
+        g.workers
+    );
     let front_desc = match &config.reactor {
         Some(r) => format!("reactor front end, {} conns max", r.max_connections),
         None => "threaded front end".to_string(),

@@ -13,8 +13,10 @@
 //!
 //! `--once` prints a single report and exits (used by CI as a smoke test).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use easz_core::DecodeStage;
-use easz_server::{EaszClient, ServerStats, TraceReport, TraceSpan, TraceStage};
+use easz_server::{EaszClient, ServerStats, TraceReport, TraceSpan, TraceStage, WIDTH_BUCKETS};
 use std::process::exit;
 use std::time::{Duration, Instant};
 
@@ -64,8 +66,6 @@ fn main() {
             exit(1);
         }
     };
-    // Slow spans accumulate across polls (the server retains its slow log),
-    // so remember the newest id already rendered to mark fresh arrivals.
     let mut previous: Option<(Instant, ServerStats)> = None;
     loop {
         let polled = Instant::now();
@@ -122,12 +122,11 @@ fn render(
         stats.decode_requests, stats.decode_ok, stats.decode_err, stats.requests_shed
     );
     println!(
-        "conns    {:>10}   accepted {:>6}   refused {:>5}   batches {:>6}   inline {:>6}",
+        "conns    {:>10}   accepted {:>6}   refused {:>5}   batches {:>6}",
         stats.connections_active,
         stats.connections_accepted,
         stats.connections_refused,
-        stats.batches_dispatched,
-        stats.inline_decodes
+        stats.batches_dispatched
     );
     println!(
         "queue    depth {:>5}   peak {:>7}   arrival-gap ewma {} ",
@@ -155,13 +154,7 @@ fn render(
         .iter()
         .enumerate()
         .filter(|(_, n)| **n > 0)
-        .map(|(w, n)| {
-            if w + 1 == stats.batch_widths.len() {
-                format!("{w}+:{n}")
-            } else {
-                format!("{w}:{n}")
-            }
-        })
+        .map(|(bucket, n)| format!("{}:{n}", width_label(bucket)))
         .collect();
     println!(
         "\nbatch widths   {}",
@@ -183,6 +176,16 @@ fn render(
     println!("\nslow requests ({}) — newest last", trace.slow.len());
     for span in &trace.slow {
         print_span("  ", span);
+    }
+}
+
+/// The batch-width histogram's label for `bucket`: bucket `i` counts fused
+/// groups of width `i + 1`, and the last bucket every wider group.
+fn width_label(bucket: usize) -> String {
+    if bucket + 1 == WIDTH_BUCKETS {
+        format!("{WIDTH_BUCKETS}+")
+    } else {
+        (bucket + 1).to_string()
     }
 }
 
@@ -218,5 +221,18 @@ fn fmt_us(us: u64) -> String {
         format!("{:.1}ms", us as f64 / 1e3)
     } else {
         format!("{us}µs")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn batch_width_labels_name_the_width_not_the_bucket() {
+        assert_eq!(width_label(0), "1", "bucket 0 counts width-1 groups");
+        assert_eq!(width_label(7), "8");
+        assert_eq!(width_label(WIDTH_BUCKETS - 2), "15");
+        assert_eq!(width_label(WIDTH_BUCKETS - 1), "16+", "the overflow bucket");
     }
 }

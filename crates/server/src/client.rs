@@ -178,9 +178,12 @@ impl From<protocol::FrameReadError> for ClientError {
 pub struct EaszClient {
     stream: TcpStream,
     max_reply_len: usize,
-    /// Set when the reply stream desynchronises (an over-limit reply whose
-    /// payload was never consumed): every later request would read pixel
-    /// bytes as frame headers, so the client refuses instead.
+    /// Set from the moment a request is written until its replies are read
+    /// to the end. Still set after a call means the reply stream may be out
+    /// of step — a read timed out or failed partway, a reply did not parse,
+    /// or an over-limit payload was never consumed — and the next request
+    /// would be answered with an earlier one's leftovers, so the client
+    /// refuses instead.
     poisoned: bool,
     /// Backoff applied to `BUSY` replies and dead-socket resends on
     /// idempotent requests; [`RetryPolicy::none`] unless opted into.
@@ -285,16 +288,16 @@ impl EaszClient {
     ///
     /// Transport and protocol failures; see [`ClientError`].
     pub fn ping(&mut self) -> Result<u8, ClientError> {
-        self.ensure_usable()?;
-        write_frame_resilient(&mut self.stream, protocol::PING, &[protocol::PROTOCOL_VERSION])?;
-        let (frame_type, payload) = self.read_reply()?;
-        match frame_type {
-            protocol::PONG if payload.len() == 1 => Ok(payload[0]),
-            protocol::PONG => {
-                Err(ClientError::Protocol(format!("pong payload of {} bytes", payload.len())))
+        self.round(protocol::PING, &[protocol::PROTOCOL_VERSION], |client| {
+            let (frame_type, payload) = client.read_reply()?;
+            match frame_type {
+                protocol::PONG if payload.len() == 1 => Ok(payload[0]),
+                protocol::PONG => {
+                    Err(ClientError::Protocol(format!("pong payload of {} bytes", payload.len())))
+                }
+                other => Err(Self::unexpected(other, &payload)),
             }
-            other => Err(self.unexpected(other, &payload)),
-        }
+        })
     }
 
     /// Round-trips a `STATS` request, returning the server's metrics
@@ -305,15 +308,15 @@ impl EaszClient {
     ///
     /// Transport and protocol failures; see [`ClientError`].
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        self.ensure_usable()?;
-        write_frame_resilient(&mut self.stream, protocol::STATS, &[])?;
-        let (frame_type, payload) = self.read_reply()?;
-        match frame_type {
-            protocol::STATS_REPLY => {
-                ServerStats::from_payload(&payload).map_err(ClientError::Protocol)
+        self.round(protocol::STATS, &[], |client| {
+            let (frame_type, payload) = client.read_reply()?;
+            match frame_type {
+                protocol::STATS_REPLY => {
+                    ServerStats::from_payload(&payload).map_err(ClientError::Protocol)
+                }
+                other => Err(Self::unexpected(other, &payload)),
             }
-            other => Err(self.unexpected(other, &payload)),
-        }
+        })
     }
 
     /// Round-trips a `TRACE` request, draining the server's recent trace
@@ -325,15 +328,15 @@ impl EaszClient {
     ///
     /// Transport and protocol failures; see [`ClientError`].
     pub fn trace(&mut self) -> Result<TraceReport, ClientError> {
-        self.ensure_usable()?;
-        write_frame_resilient(&mut self.stream, protocol::TRACE, &[])?;
-        let (frame_type, payload) = self.read_reply()?;
-        match frame_type {
-            protocol::TRACE_REPLY => {
-                TraceReport::from_payload(&payload).map_err(ClientError::Protocol)
+        self.round(protocol::TRACE, &[], |client| {
+            let (frame_type, payload) = client.read_reply()?;
+            match frame_type {
+                protocol::TRACE_REPLY => {
+                    TraceReport::from_payload(&payload).map_err(ClientError::Protocol)
+                }
+                other => Err(Self::unexpected(other, &payload)),
             }
-            other => Err(self.unexpected(other, &payload)),
-        }
+        })
     }
 
     /// Sends one serialized `.easz` container and returns the decoded
@@ -379,32 +382,57 @@ impl EaszClient {
         frame: u8,
         payload: &[u8],
     ) -> Result<ImageU8, ClientError> {
+        let mut result = self.image_request_once(frame, payload);
         let mut attempt = 0;
-        loop {
-            match self.image_request_once(frame, payload) {
-                Err(e) if attempt < self.retry.max_retries && Self::retryable(&e) => {
-                    std::thread::sleep(self.retry.delay(attempt));
-                    attempt += 1;
-                    if matches!(e, ClientError::Io(_)) {
-                        // The socket is gone; a failed re-dial leaves the
-                        // dead stream in place, so the next attempt fails
-                        // fast and keeps consuming the retry budget.
-                        let _ = self.reconnect();
-                    }
-                }
-                other => return other,
+        while attempt < self.retry.max_retries {
+            match &result {
+                Err(e) if Self::retryable(e) => {}
+                _ => break,
             }
+            std::thread::sleep(self.retry.delay(attempt));
+            attempt += 1;
+            // A dead socket is re-dialed before the resend; a re-dial that
+            // fails is this attempt's outcome, so the budget keeps running.
+            let redial =
+                if matches!(result, Err(ClientError::Io(_))) { self.reconnect() } else { Ok(()) };
+            result = match redial {
+                Ok(()) => self.image_request_once(frame, payload),
+                Err(e) => Err(e.into()),
+            };
         }
+        result
     }
 
     fn image_request_once(&mut self, frame: u8, payload: &[u8]) -> Result<ImageU8, ClientError> {
+        self.round(frame, payload, |client| {
+            let (frame_type, payload) = client.read_reply()?;
+            match frame_type {
+                protocol::IMAGE => protocol::decode_image(&payload).map_err(ClientError::Protocol),
+                other => Err(Self::unexpected(other, &payload)),
+            }
+        })
+    }
+
+    /// One request/reply round: refuses up front on a poisoned connection,
+    /// writes the request, and lets `read` consume every reply it is owed.
+    /// The client stays poisoned unless `read` got through its replies —
+    /// with a result, or with a typed error frame from the server. A
+    /// transport failure or an unparseable reply may have left replies
+    /// unread, and they would answer the next request.
+    fn round<T>(
+        &mut self,
+        frame: u8,
+        payload: &[u8],
+        read: impl FnOnce(&mut Self) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         self.ensure_usable()?;
+        self.poisoned = true;
         write_frame_resilient(&mut self.stream, frame, payload)?;
-        let (frame_type, payload) = self.read_reply()?;
-        match frame_type {
-            protocol::IMAGE => protocol::decode_image(&payload).map_err(ClientError::Protocol),
-            other => Err(self.unexpected(other, &payload)),
+        let result = read(self);
+        if matches!(result, Ok(_) | Err(ClientError::Remote(_))) {
+            self.poisoned = false;
         }
+        result
     }
 
     /// The failures the server's failure model declares retryable: an
@@ -477,7 +505,6 @@ impl EaszClient {
         tier: Option<EngineTier>,
         containers: &[&[u8]],
     ) -> Result<Vec<Result<ImageU8, WireError>>, ClientError> {
-        self.ensure_usable()?;
         let batch = protocol::encode_batch(containers);
         let payload = match tier {
             None => batch,
@@ -488,37 +515,40 @@ impl EaszClient {
                 tiered
             }
         };
-        write_frame_resilient(&mut self.stream, frame, &payload)?;
-        let mut results = Vec::with_capacity(containers.len());
-        while results.len() < containers.len() {
-            let (frame_type, payload) = self.read_reply()?;
-            match frame_type {
-                protocol::IMAGE => {
-                    // An unparseable image is a protocol bug, not a remote
-                    // decode failure; abort the whole call.
-                    let img = protocol::decode_image(&payload).map_err(ClientError::Protocol)?;
-                    results.push(Ok(img));
-                }
-                protocol::ERROR => {
-                    let err = WireError::from_payload(&payload).map_err(ClientError::Protocol)?;
-                    // Per-container codes occupy a reply position: the
-                    // container class (1..=15), UNKNOWN_MODEL (36), a shed
-                    // slot (BUSY, 35), and the robustness pair INTERNAL
-                    // (37) / DEADLINE_EXCEEDED (38). Only envelope
-                    // failures — PROTOCOL, OVERSIZE, UNKNOWN_FRAME — abort
-                    // the whole call with a single frame.
-                    if matches!(
-                        err.code,
-                        ErrorCode::Protocol | ErrorCode::Oversize | ErrorCode::UnknownFrame
-                    ) {
-                        return Err(ClientError::Remote(err));
+        self.round(frame, &payload, |client| {
+            let mut results = Vec::with_capacity(containers.len());
+            while results.len() < containers.len() {
+                let (frame_type, payload) = client.read_reply()?;
+                match frame_type {
+                    protocol::IMAGE => {
+                        // An unparseable image is a protocol bug, not a remote
+                        // decode failure; abort the whole call.
+                        let img =
+                            protocol::decode_image(&payload).map_err(ClientError::Protocol)?;
+                        results.push(Ok(img));
                     }
-                    results.push(Err(err));
+                    protocol::ERROR => {
+                        let err =
+                            WireError::from_payload(&payload).map_err(ClientError::Protocol)?;
+                        // Per-container codes occupy a reply position: the
+                        // container class (1..=15), UNKNOWN_MODEL (36), a shed
+                        // slot (BUSY, 35), and the robustness pair INTERNAL
+                        // (37) / DEADLINE_EXCEEDED (38). Only envelope
+                        // failures — PROTOCOL, OVERSIZE, UNKNOWN_FRAME — abort
+                        // the whole call with a single frame.
+                        if matches!(
+                            err.code,
+                            ErrorCode::Protocol | ErrorCode::Oversize | ErrorCode::UnknownFrame
+                        ) {
+                            return Err(ClientError::Remote(err));
+                        }
+                        results.push(Err(err));
+                    }
+                    other => return Err(Self::unexpected(other, &payload)),
                 }
-                other => return Err(self.unexpected(other, &payload)),
             }
-        }
-        Ok(results)
+            Ok(results)
+        })
     }
 
     /// Fails fast once the connection is poisoned (checked before every
@@ -526,7 +556,9 @@ impl EaszClient {
     fn ensure_usable(&self) -> Result<(), ClientError> {
         if self.poisoned {
             return Err(ClientError::Protocol(
-                "connection poisoned by an earlier over-limit reply; reconnect".into(),
+                "connection poisoned: an earlier request's replies were not all read \
+                 (timeout, transport failure, over-limit or unparseable reply); reconnect"
+                    .into(),
             ));
         }
         Ok(())
@@ -554,7 +586,7 @@ impl EaszClient {
     /// Folds a reply that does not match the request into the right error:
     /// error frames become [`ClientError::Remote`], anything else is a
     /// protocol violation.
-    fn unexpected(&self, frame_type: u8, payload: &[u8]) -> ClientError {
+    fn unexpected(frame_type: u8, payload: &[u8]) -> ClientError {
         if frame_type == protocol::ERROR {
             match WireError::from_payload(payload) {
                 Ok(err) => ClientError::Remote(err),
@@ -737,6 +769,37 @@ mod tests {
             Err(ClientError::Remote(err)) => assert_eq!(err.code, ErrorCode::Busy),
             other => panic!("expected fail-fast BUSY, got {other:?}"),
         }
+        server.join().expect("server thread");
+    }
+
+    #[test]
+    fn a_reply_that_arrives_after_the_read_timeout_never_answers_the_next_request() {
+        let (_, late_payload) = tiny_image_payload();
+        let (addr, server) = scripted_server(move |listener| {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let _ = protocol::read_frame(&mut conn, 1 << 20).expect("read").expect("open");
+            // Answer the first request only after the client gave up on it.
+            std::thread::sleep(Duration::from_millis(300));
+            protocol::write_frame(&mut conn, protocol::IMAGE, &late_payload).expect("late image");
+            // Hold the connection until the client sends again or hangs up.
+            let _ = protocol::read_frame(&mut conn, 1 << 20);
+        });
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_millis(100))).expect("read timeout");
+        let mut client = EaszClient::from_stream(stream);
+        match client.decode(b"first") {
+            Err(ClientError::Io(e)) => {
+                assert!(matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut))
+            }
+            other => panic!("expected the read to time out, got {other:?}"),
+        }
+        // Let the late reply land in the socket buffer.
+        std::thread::sleep(Duration::from_millis(400));
+        match client.decode(b"second") {
+            Err(ClientError::Protocol(message)) => assert!(message.contains("reconnect")),
+            other => panic!("the first request's late reply answered the second: {other:?}"),
+        }
+        drop(client);
         server.join().expect("server thread");
     }
 

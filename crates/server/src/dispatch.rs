@@ -8,9 +8,10 @@
 //! containers parsed lazily, in request order, each either ready to decode
 //! or already answered by its positional `ERROR` frame. [`reply_frame`] is
 //! the one `Result -> IMAGE/ERROR` serializer and [`Dispatch::finish`] the
-//! one place a decode reply's telemetry closes. A front end keeps only its
-//! I/O: how frames come off a socket, where decodes run, how reply bytes go
-//! back.
+//! one place a decode reply's telemetry closes. Admission is one rule too:
+//! every parsed member goes to the gateway, and one it refuses is answered
+//! by [`Dispatch::shed`]. A front end keeps only its I/O: how frames come
+//! off a socket and how reply bytes go back.
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::{self, EngineTier, ErrorCode, WireError};
@@ -142,6 +143,16 @@ impl<'a> Dispatch<'a> {
             ErrorCode::Oversize,
             format!("frame announces {announced} bytes, limit is {limit}"),
         )
+    }
+
+    /// The positional `BUSY` reply of a parsed decode member the gateway
+    /// refused (queue full or shutting down), counted as shed. Both front
+    /// ends answer a refusal with exactly this: nothing decodes outside the
+    /// gateway.
+    pub fn shed(&self) -> Vec<u8> {
+        self.metrics.record_request_shed();
+        let message = "decode queue is saturated, retry later".into();
+        error_frame(self.metrics, ErrorCode::Busy, message)
     }
 
     /// Closes a decode member's telemetry once its reply bytes are handed

@@ -50,7 +50,7 @@ mod active {
         pub epoll_spurious_permille: u16,
         /// Clamp a reactor read to a single byte (short read).
         pub short_read_permille: u16,
-        /// Stall a gateway/inline decode by [`decode_delay_us`](Self::decode_delay_us).
+        /// Stall a gateway decode by [`decode_delay_us`](Self::decode_delay_us).
         pub decode_delay_permille: u16,
         /// Microseconds each injected decode stall sleeps.
         pub decode_delay_us: u64,

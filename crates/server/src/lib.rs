@@ -7,13 +7,13 @@
 //! encoders streaming to a server that owns the transformer — and this
 //! crate moves the bytes between the two halves that `easz-core` already
 //! provides. The server's job is *amortisation*: containers arriving in one
-//! `DECODE_BATCH` frame are decoded through
-//! [`EaszDecoder::decode_batch`](easz_core::EaszDecoder::decode_batch), and
-//! with the **decode gateway** enabled
-//! ([`EaszServer::with_gateway`]) requests from *different* connections are
-//! parked into batching windows and fused too — one transformer forward
-//! per window group, even when every edge sender rolls its own mask seed
-//! (the multi-mask fused forward in `easz-core`).
+//! `DECODE_BATCH` frame, and requests from *different* connections, are
+//! parked by the **decode gateway** into batching windows and decoded
+//! through
+//! [`EaszDecoder::decode_batch`](easz_core::EaszDecoder::decode_batch) —
+//! one transformer forward per window group, even when every edge sender
+//! rolls its own mask seed (the multi-mask fused forward in `easz-core`).
+//! The gateway is always on; [`EaszServer::with_gateway`] tunes it.
 //!
 //! The wire format (both the `.easz` container and this crate's framing)
 //! is specified normatively in `docs/FORMAT.md` at the repository root.
@@ -21,15 +21,17 @@
 //! * [`EaszServer`] — two thin front ends over one core: every protocol
 //!   decision (tier bytes, batch envelopes, the `PING`/`STATS`/`TRACE`
 //!   payload rules, the unknown-frame close, `IMAGE`/`ERROR`
-//!   serialization and their counters) is made by one transport-free
-//!   dispatcher (`dispatch.rs`), and every decode runs through one
-//!   isolated routine (`decode_window` in `batcher.rs`). The default front
+//!   serialization and their counters, the `BUSY` shed) is made by one
+//!   transport-free dispatcher (`dispatch.rs`), and every decode runs on a
+//!   gateway worker through one isolated routine (`decode_window` in
+//!   `batcher.rs`). The default front
 //!   end is a multi-threaded accept loop (`std::net::TcpListener` +
 //!   `std::thread::scope`, no external dependencies): one shared model,
 //!   one handler thread per connection.
 //! * [`GatewayConfig`] — the cross-connection batching scheduler: window
 //!   size (`max_batch`), window latency budget (`max_wait_us`), decode
-//!   worker count, queue bound, adaptive windows (`adaptive_wait`).
+//!   worker count, queue bound, adaptive windows (`adaptive_wait`, on by
+//!   default).
 //! * [`ReactorConfig`] — the event-driven reactor front end (below).
 //! * [`ServerMetrics`] / [`ServerStats`] — per-error-code counters, the
 //!   batch-width histogram and queue-depth/latency gauges, served to
@@ -38,7 +40,7 @@
 //! * [`protocol`] — frame I/O and payload codecs, usable directly by
 //!   alternative clients or tests.
 //! * `easz-serve` — the binary: `cargo run --release -p easz-server --bin
-//!   easz-serve -- --addr 127.0.0.1:4860 --gateway-max-batch 8`.
+//!   easz-serve -- --addr 127.0.0.1:4860`.
 //!
 //! ```no_run
 //! use easz_core::{zoo, EaszConfig, EaszEncoder};
@@ -79,31 +81,29 @@
 //!   `max_frame_len`. Outbound replies survive partial writes in a
 //!   compacting buffer, and pipelined replies leave strictly in request
 //!   order even though decode workers complete out of order.
-//! * **Fairness draw** — the reactor submits every decode to the gateway
-//!   tagged with its connection id, and the gateway forms windows by a
+//! * **Fairness draw** — both front ends submit every decode to the
+//!   gateway tagged with its connection id, and the gateway forms windows by a
 //!   round-robin draw across sources: one job per connection per cycle,
 //!   so a flooding client cannot fill every window.
-//! * **Admission control & shedding** — accepts beyond
-//!   [`ReactorConfig::max_connections`] and well-framed decodes that hit
-//!   a saturated gateway queue are answered with the typed `BUSY` error
-//!   frame (`docs/FORMAT.md` §2.2) instead of being silently dropped or
-//!   decoded inline on the loop.
+//! * **Admission control** — accepts beyond
+//!   [`ReactorConfig::max_connections`] are answered with the typed `BUSY`
+//!   error frame (`docs/FORMAT.md` §2.2) and closed instead of being
+//!   silently dropped.
 //! * **Backpressure** — a connection with too many decodes in flight or
 //!   too many unflushed reply bytes stops being read until it drains; the
 //!   kernel receive buffer then throttles the peer.
-//! * **Adaptive windows** — with [`GatewayConfig::adaptive_wait`] (the
-//!   reactor's default gateway enables it) the batching window's wait
+//! * **Adaptive windows** — with [`GatewayConfig::adaptive_wait`] (on in
+//!   the default [`ServerConfig`]) the batching window's wait
 //!   budget follows the observed inter-arrival EWMA: sparse traffic
 //!   dispatches immediately, bursts wait just long enough to fill.
 //!
-//! Both front ends drive the same dispatcher and the same decode routine,
-//! so replies on the reactor path are byte-identical to the threaded path
-//! and to serial local decoding — enforced by the loopback test suite.
-//! What differs is I/O (blocking `read_frame`/`write` per handler thread
-//! vs frame assembler + ordered reply queue on the loop) and one policy:
-//! a decode the gateway cannot take runs on the handler thread in the
-//! threaded front end and is shed with `BUSY` by the reactor. The threaded
-//! path remains the default.
+//! Both front ends drive the same dispatcher and the same gateway, so
+//! replies on the reactor path are byte-identical to the threaded path and
+//! to serial local decoding — enforced by the loopback test suite. They
+//! differ only in I/O (blocking `read_frame`/`write` per handler thread vs
+//! frame assembler + ordered reply queue on the loop): a decode the
+//! gateway cannot take is shed with the same positional `BUSY` on both.
+//! The threaded path remains the default.
 //!
 //! ## Socket options
 //!
@@ -130,17 +130,16 @@
 //!
 //! 1. **`BUSY` shed (code 35)** — overload. Admission control refuses
 //!    connections beyond [`ReactorConfig::max_connections`]; a saturated
-//!    gateway queue sheds the decode. Cheapest refusal, fired first.
+//!    gateway queue sheds the decode, on either front end. Cheapest
+//!    refusal, fired first.
 //! 2. **Deadline expiry (code 38, `DEADLINE_EXCEEDED`)** — a job admitted
 //!    to the gateway carries a deadline ([`GatewayConfig::deadline_us`]);
 //!    if no worker picks it up in time it is swept unstarted and answered,
 //!    so a stalled pool can never park a handler in `reply.recv()`
 //!    forever.
-//! 3. **Panic isolation (code 37, `INTERNAL`)** — every decode runs
-//!    through the one `decode_window` routine, whether a gateway worker
-//!    calls it with a batching window or a threaded handler with whatever
-//!    the gateway did not take; its `catch_unwind` is the only one in the
-//!    crate. A panicking container fails *its own* request (its windowmates
+//! 3. **Panic isolation (code 37, `INTERNAL`)** — every decode runs on a
+//!    gateway worker through the one `decode_window` routine; its
+//!    `catch_unwind` is the only one in the crate. A panicking container fails *its own* request (its windowmates
 //!    are re-decoded serially), the supervisor respawns a poisoned worker,
 //!    and the connection keeps serving.
 //! 4. **Graceful drain** — shutdown (or SIGTERM in `easz-serve`) stops
@@ -155,10 +154,9 @@
 //! Every stage is testable on demand: the [`fault`] module injects seeded,
 //! deterministic faults (torn writes, EINTR storms, aborted accepts,
 //! stalled or panicking decodes) at the syscall shim, protocol, and
-//! gateway layers; `tests/chaos.rs` soaks both front ends (the threaded
-//! one with and without a gateway) under randomized schedules and asserts
-//! exactly-one-reply, metrics reconciliation, and byte-identity of every
-//! successful reply.
+//! gateway layers; `tests/chaos.rs` soaks both front ends under
+//! randomized schedules and asserts exactly-one-reply, metrics
+//! reconciliation, and byte-identity of every successful reply.
 //!
 //! ## Observability
 //!
@@ -192,6 +190,7 @@
 //!    snapshot).
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod batcher;
 mod client;

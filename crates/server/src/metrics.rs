@@ -80,9 +80,6 @@ pub struct ServerMetrics {
     /// Fused forward groups issued — one count per `(model id, tier,
     /// geometry)` fusion group a batch or gateway window dispatched.
     batches_dispatched: AtomicU64,
-    /// Containers decoded outside the gateway (gateway disabled, queue
-    /// full, or shutdown in progress).
-    inline_decodes: AtomicU64,
     /// Current gateway queue depth (gauge).
     queue_depth: AtomicU64,
     /// High-water gateway queue depth.
@@ -113,7 +110,7 @@ pub struct ServerMetrics {
     /// table was full, or the socket could not be registered).
     connections_refused: AtomicU64,
     /// Well-framed decode requests shed with a `BUSY` error because the
-    /// gateway queue was saturated and no inline fallback existed.
+    /// gateway refused them (queue full or shutting down).
     requests_shed: AtomicU64,
     /// EWMA of the microseconds between consecutive gateway submissions
     /// (gauge; `0` = no estimate yet). Drives the adaptive batching window.
@@ -136,7 +133,6 @@ impl Default for ServerMetrics {
             decode_ok: AtomicU64::new(0),
             decode_err: AtomicU64::new(0),
             batches_dispatched: AtomicU64::new(0),
-            inline_decodes: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
             queue_wait_us: AtomicU64::new(0),
@@ -182,11 +178,6 @@ impl ServerMetrics {
     pub fn record_error(&self, code: ErrorCode) {
         let idx = (code.value() as usize).min(MAX_ERROR_CODE);
         self.errors[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one container decoded outside the gateway.
-    pub fn record_inline_decode(&self) {
-        self.inline_decodes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a decode batch of `width` containers and the wall time its
@@ -299,7 +290,7 @@ impl ServerMetrics {
             decode_ok: self.decode_ok.load(Ordering::Relaxed),
             decode_err: self.decode_err.load(Ordering::Relaxed),
             batches_dispatched: self.batches_dispatched.load(Ordering::Relaxed),
-            inline_decodes: self.inline_decodes.load(Ordering::Relaxed),
+            inline_decodes: 0,
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_peak: self.queue_peak.load(Ordering::Relaxed),
             queue_wait_us: self.queue_wait_us.load(Ordering::Relaxed),
@@ -345,7 +336,8 @@ pub struct ServerStats {
     /// Fused forward groups issued (one per `(model id, tier, geometry)`
     /// fusion group dispatched).
     pub batches_dispatched: u64,
-    /// Containers decoded outside the gateway.
+    /// Always `0`: every decode runs on a gateway worker. The field keeps
+    /// its slot because the payload layout is append-only.
     pub inline_decodes: u64,
     /// Gateway queue depth at snapshot time (gauge).
     pub queue_depth: u64,
@@ -561,7 +553,6 @@ mod tests {
         m.record_batch(3, 1500);
         m.record_batch(1, 200);
         m.record_batch(WIDTH_BUCKETS + 10, 9000); // overflow bucket
-        m.record_inline_decode();
         m.record_queue_depth(4);
         m.record_queue_depth(2);
         m.record_queue_wait(750);
@@ -577,7 +568,10 @@ mod tests {
         m.record_panic_caught();
         m.record_worker_respawn();
         m.record_deadline_expired();
-        let stats = m.snapshot();
+        let mut stats = m.snapshot();
+        assert_eq!(stats.inline_decodes, 0, "nothing decodes outside the gateway");
+        // The retired field still travels in its slot.
+        stats.inline_decodes = 1;
         assert_eq!(stats.decode_requests, 5);
         assert_eq!((stats.decode_ok, stats.decode_err), (2, 1));
         assert_eq!(stats.error_count(ErrorCode::BadMagic), 2);

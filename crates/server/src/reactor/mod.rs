@@ -16,7 +16,7 @@
 //! - **Protocol** — what a complete frame asks for is decided by the
 //!   transport-free [`Dispatch`](crate::dispatch::Dispatch) core the
 //!   threaded front end drives too; this module only moves bytes and
-//!   applies the reactor's own policies (admission, shedding).
+//!   applies the reactor's own admission limit.
 //! - **Decode hand-off** — the members of `DECODE`-family frames are
 //!   submitted to the shared gateway [`Batcher`](crate::batcher::Batcher)
 //!   with the connection id as the fairness source; the reply closure
@@ -30,8 +30,8 @@
 //! - **Admission & shedding** — accepts beyond
 //!   [`ReactorConfig::max_connections`] are answered with a best-effort
 //!   `BUSY` error frame and closed; well-framed decode requests that the
-//!   gateway refuses (full queue) are answered with `BUSY` instead of
-//!   decoding inline, because the loop must never block on a forward.
+//!   gateway refuses (full queue) get the shared positional `BUSY` reply,
+//!   exactly as on the threaded front end.
 //! - **Shutdown** — mirrors the threaded path's invariant: the gateway is
 //!   flushed, every parked job's reply is written out (bounded by
 //!   [`ReactorConfig::drain_grace`]), then sockets close.
@@ -543,7 +543,7 @@ mod linux {
     /// Parks one decode member in the gateway, reserving its ordered reply
     /// slot. A member that did not parse already carries its typed error
     /// frame; a refused submission (full queue or shutdown) sheds with
-    /// `BUSY` — the loop never decodes inline.
+    /// `BUSY`.
     fn submit_member(
         conn: &mut Connection,
         token: u64,
@@ -574,18 +574,10 @@ mod linux {
                 completions.post(token, seq, reply_frame(&metrics, result), span, ok);
             },
         );
-        if let Err((_, span, _)) = shared.batcher.submit(encoded, engine, token, span, reply) {
-            // Load shed: the queue is saturated and the loop cannot decode
-            // inline without stalling every other connection. The refused
-            // span still rides the reply slot so shed requests trace too.
-            shared.metrics.record_request_shed();
-            let message = "decode queue is saturated, retry later".into();
-            conn.replies.fill(
-                seq,
-                error_frame(shared.metrics, ErrorCode::Busy, message),
-                span,
-                false,
-            );
+        if let Err(span) = shared.batcher.submit(encoded, engine, token, span, reply) {
+            // The refused span still rides the reply slot so shed requests
+            // trace too.
+            conn.replies.fill(seq, shared.dispatch.shed(), span, false);
         }
     }
 

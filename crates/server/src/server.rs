@@ -1,15 +1,16 @@
 //! The decode server: an accept loop handing each connection to a scoped
-//! handler thread, all sharing one [`EaszDecoder`] (and therefore one
-//! model zoo) behind the framing protocol of [`crate::protocol`].
+//! handler thread, all decoding through one gateway whose workers share one
+//! [`EaszDecoder`] (and therefore one model zoo), behind the framing
+//! protocol of [`crate::protocol`].
 
-use crate::batcher::{decode_window, Batcher, GatewayConfig, WorkerExit};
+use crate::batcher::{Batcher, GatewayConfig, WorkerExit};
 use crate::dispatch::{reply_frame, Action, Dispatch, Member, Members};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{self, FrameReadError};
 use crate::reactor::{self, ReactorConfig};
 use crate::trace::{SpanCtx, TraceConfig, TraceStage, Tracer};
 use easz_codecs::CodecRegistry;
-use easz_core::{DecodeEngine, EaszDecoder, EaszEncoded, EaszError, Reconstructor};
+use easz_core::{EaszDecoder, EaszError, Reconstructor};
 use easz_image::ImageF32;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -65,17 +66,17 @@ pub struct ServerConfig {
     /// indefinitely (a zero `Duration` is invalid for the OS socket
     /// timeout, so it is normalised to "no timeout" rather than erroring).
     pub read_timeout: Option<Duration>,
-    /// The cross-connection decode gateway. `None` (the default) decodes
-    /// each request on its own connection thread; `Some` parks requests in
-    /// a batching window so concurrent connections share transformer
-    /// forwards (see [`GatewayConfig`]).
-    pub gateway: Option<GatewayConfig>,
+    /// The cross-connection decode gateway every decode goes through, on
+    /// both front ends: requests park in batching windows so concurrent
+    /// connections share transformer forwards, and a request the queue has
+    /// no room for is answered with `BUSY` (see [`GatewayConfig`]). The
+    /// default is [`GatewayConfig::default`] with adaptive windows
+    /// ([`adaptive_wait`](GatewayConfig::adaptive_wait)) on.
+    pub gateway: GatewayConfig,
     /// The event-driven reactor front end. `None` (the default) serves
     /// each connection on its own blocking handler thread; `Some` runs one
     /// epoll readiness loop over nonblocking sockets instead (see
-    /// [`ReactorConfig`]). The reactor always decodes through the gateway:
-    /// when no gateway is configured alongside it, a default one (with
-    /// adaptive batching windows) is used.
+    /// [`ReactorConfig`]).
     pub reactor: Option<ReactorConfig>,
     /// Request tracing. `None` (the default) captures no spans — request
     /// structs carry no trace context and the instrumented sites reduce to
@@ -92,7 +93,7 @@ impl Default for ServerConfig {
             max_frame_len: 16 << 20,
             max_batch: 64,
             read_timeout: None,
-            gateway: None,
+            gateway: GatewayConfig { adaptive_wait: true, ..GatewayConfig::default() },
             reactor: None,
             trace: None,
         }
@@ -101,10 +102,11 @@ impl Default for ServerConfig {
 
 /// A batched `.easz` decode server over TCP.
 ///
-/// One model zoo serves every connection: handler threads run under
-/// [`std::thread::scope`] and share a single [`EaszDecoder`], so a
-/// `DECODE_BATCH` request turns into [`EaszDecoder::decode_batch`] — one
-/// transformer forward per shared-mask group rather than one per stream.
+/// One model zoo serves every connection: the decode gateway's workers run
+/// under [`std::thread::scope`] and share a single [`EaszDecoder`], so the
+/// containers of one batching window — from one `DECODE_BATCH` or from
+/// many connections — share one transformer forward per fusion group
+/// rather than one per stream.
 /// The generic model answers containers carrying model id 0 (including
 /// every pre-zoo container); [`with_model`](Self::with_model) mounts
 /// fine-tuned models under nonzero ids, and a container naming an
@@ -189,15 +191,16 @@ impl EaszServer {
         self
     }
 
-    /// Enables the cross-connection decode gateway: requests from every
-    /// connection are parked into batching windows (closed on
+    /// Tunes the cross-connection decode gateway, replacing
+    /// [`ServerConfig::gateway`]. Every decode goes through it: requests
+    /// from every connection are parked into batching windows (closed on
     /// [`max_batch`](GatewayConfig::max_batch) or
     /// [`max_wait_us`](GatewayConfig::max_wait_us)) and decoded by a shared
     /// worker pool, so concurrent clients share transformer forwards even
-    /// when their mask seeds differ. Replies are byte-identical to
-    /// ungatewayed decoding.
+    /// when their mask seeds differ. Replies are byte-identical to serial
+    /// local decoding.
     pub fn with_gateway(mut self, gateway: GatewayConfig) -> Self {
-        self.config.gateway = Some(gateway);
+        self.config.gateway = gateway;
         self
     }
 
@@ -205,10 +208,9 @@ impl EaszServer {
     /// loop over nonblocking sockets replaces the thread-per-connection
     /// accept loop, scaling in connections instead of threads and adding
     /// admission control (`BUSY` beyond
-    /// [`max_connections`](ReactorConfig::max_connections)) and load
-    /// shedding (`BUSY` instead of inline decode when the gateway queue
-    /// saturates). Decode replies stay byte-identical to the threaded
-    /// path. Linux-only; serving fails with
+    /// [`max_connections`](ReactorConfig::max_connections)). Decode replies
+    /// stay byte-identical to the threaded path. Linux-only; serving fails
+    /// with
     /// [`io::ErrorKind::Unsupported`] elsewhere.
     pub fn with_reactor(mut self, reactor: ReactorConfig) -> Self {
         self.config.reactor = Some(reactor);
@@ -297,35 +299,23 @@ impl EaszServer {
         let dispatch =
             Dispatch { max_batch: config.max_batch, metrics: &metrics, tracer: tracer.as_deref() };
         let decoder = decoder;
-        // The reactor's event loop must never block on a forward, so it
-        // always decodes through a gateway — a default one (with adaptive
-        // windows, since the reactor targets bursty fleet traffic) when
-        // the embedder configured none.
-        let gateway = match (&config.reactor, config.gateway.clone()) {
-            (Some(_), None) => Some(GatewayConfig { adaptive_wait: true, ..Default::default() }),
-            (_, gateway) => gateway,
-        };
-        let batcher = gateway.clone().map(|g| Batcher::new(g, metrics.clone()));
+        let batcher = Batcher::new(config.gateway.clone(), metrics.clone());
         std::thread::scope(|scope| {
             // The gateway threads live inside the connection scope so they
             // can borrow the shared decoder; they exit when `shutdown()`
             // below flushes the queue.
-            if let Some(batcher) = &batcher {
-                let workers = gateway.as_ref().expect("gateway config present").workers;
-                scope.spawn(|| batcher.run_scheduler());
-                for _ in 0..workers {
-                    let decoder = &decoder;
-                    let metrics = &metrics;
-                    // Supervisor loop: a worker poisoned by a caught decode
-                    // panic is respawned in place (same thread, fresh
-                    // `run_worker`), so the pool never shrinks under faults.
-                    scope.spawn(move || loop {
-                        match batcher.run_worker(decoder) {
-                            WorkerExit::Shutdown => break,
-                            WorkerExit::Poisoned => metrics.record_worker_respawn(),
-                        }
-                    });
-                }
+            scope.spawn(|| batcher.run_scheduler());
+            for _ in 0..config.gateway.workers {
+                let (batcher, decoder, metrics) = (&batcher, &decoder, &metrics);
+                // Supervisor loop: a worker poisoned by a caught decode
+                // panic is respawned in place (same thread, fresh
+                // `run_worker`), so the pool never shrinks under faults.
+                scope.spawn(move || loop {
+                    match batcher.run_worker(decoder) {
+                        WorkerExit::Shutdown => break,
+                        WorkerExit::Poisoned => metrics.record_worker_respawn(),
+                    }
+                });
             }
             let result = if let Some(reactor_config) = &config.reactor {
                 reactor::run(
@@ -334,7 +324,7 @@ impl EaszServer {
                     &config,
                     reactor_config,
                     &metrics,
-                    batcher.as_ref().expect("the reactor always runs with a gateway"),
+                    &batcher,
                     dispatch,
                 )
             } else {
@@ -353,13 +343,7 @@ impl EaszServer {
                     // Best effort: a socket that refuses the option is
                     // still served, only slower.
                     let _ = protocol::prepare_stream(&stream);
-                    let ctx = ConnCtx {
-                        decoder: &decoder,
-                        config: &config,
-                        dispatch,
-                        batcher: batcher.as_ref(),
-                        source: 0,
-                    };
+                    let ctx = ConnCtx { config: &config, dispatch, batcher: &batcher, source: 0 };
                     scope.spawn(move || {
                         // A connection that cannot be registered (fd pressure
                         // broke the try_clone) could never be force-closed and
@@ -389,9 +373,7 @@ impl EaszServer {
             // flushes parked jobs into final windows, workers drain them
             // (so draining connections still get replies), then all gateway
             // threads exit.
-            if let Some(batcher) = &batcher {
-                batcher.shutdown();
-            }
+            batcher.shutdown();
             result
         })
     }
@@ -401,11 +383,10 @@ impl EaszServer {
 /// stay readable.
 #[derive(Clone, Copy)]
 struct ConnCtx<'a> {
-    decoder: &'a EaszDecoder<'a>,
     config: &'a ServerConfig,
     /// The protocol core (and through it the metrics and the tracer).
     dispatch: Dispatch<'a>,
-    batcher: Option<&'a Batcher>,
+    batcher: &'a Batcher,
     /// This connection's gateway fairness source id.
     source: u64,
 }
@@ -413,30 +394,6 @@ struct ConnCtx<'a> {
 /// What a gateway-parked request's channel carries back: the result plus
 /// the request's trace span (stamped through the queue milestones).
 type GatewayReply = (Result<ImageF32, EaszError>, Option<SpanCtx>);
-
-impl ConnCtx<'_> {
-    /// Parks `encoded` in the gateway with a channel-backed reply, so this
-    /// handler thread can block on the receiver. `Err` hands the container
-    /// back — no gateway, a full queue, or shutdown — for decoding here.
-    // The large Err variant is the point, as in `Batcher::submit`.
-    #[allow(clippy::result_large_err)]
-    fn submit_gateway(
-        &self,
-        encoded: EaszEncoded,
-        engine: DecodeEngine,
-        span: Option<SpanCtx>,
-    ) -> Result<Receiver<GatewayReply>, (EaszEncoded, Option<SpanCtx>)> {
-        let Some(batcher) = self.batcher else { return Err((encoded, span)) };
-        let (tx, rx) = std::sync::mpsc::channel();
-        let reply = Box::new(move |result, span| {
-            let _ = tx.send((result, span));
-        });
-        match batcher.submit(encoded, engine, self.source, span, reply) {
-            Ok(()) => Ok(rx),
-            Err((back, span, _)) => Err((back, span)),
-        }
-    }
-}
 
 /// Handle to a server running on a background thread (see
 /// [`EaszServer::spawn`]).
@@ -550,63 +507,50 @@ fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx<'_>) -> io::Result<()>
 
 /// What the i-th member of a decode request is waiting on.
 enum Slot {
-    /// The container did not parse; its positional error frame is in hand.
-    Failed(Vec<u8>, Option<SpanCtx>),
+    /// Answered without a decode: the positional `ERROR` of a container
+    /// that did not parse, or the `BUSY` of one the gateway refused.
+    Answered(Vec<u8>, Option<SpanCtx>),
     /// Parked in the gateway; the result arrives on this channel.
     Parked(Receiver<GatewayReply>),
-    /// Decodes on this thread: the next result of the local window.
-    Local,
 }
 
-/// Decodes the members of one decode request and replies strictly in
-/// request order. Returns `false` when the connection should close (the
-/// gateway shut down under a parked member).
+/// Hands the members of one decode request to the gateway and replies
+/// strictly in request order. Returns `false` when the connection should
+/// close (the gateway shut down under a parked member).
 ///
 /// Every parsed member is offered to the gateway individually, so a window
-/// can fuse it with requests from *other* connections too. Whatever the
-/// gateway does not take — there is none, its queue is full, it is shutting
-/// down — decodes on this thread as one [`decode_window`], so the members
-/// of an ungatewayed batch still share fused forwards and a lone `DECODE`
-/// is a window of one. The threaded front end never sheds.
+/// can fuse it with requests from *other* connections too; a member the
+/// gateway refuses (queue full, shutting down) is shed with the positional
+/// `BUSY` of [`Dispatch::shed`]. This thread never decodes.
 fn serve_decode(
     stream: &mut TcpStream,
     ctx: &ConnCtx<'_>,
     members: Members<'_>,
     received: Instant,
 ) -> io::Result<bool> {
-    let metrics = ctx.dispatch.metrics;
-    let mut slots = Vec::with_capacity(members.len());
-    let (mut containers, mut engines, mut spans) = (Vec::new(), Vec::new(), Vec::new());
-    for Member { span, request } in members {
-        slots.push(match request {
-            Err(frame) => Slot::Failed(frame, span),
-            Ok((encoded, engine)) => match ctx.submit_gateway(encoded, engine, span) {
-                Ok(rx) => Slot::Parked(rx),
-                Err((back, span)) => {
-                    metrics.record_inline_decode();
-                    containers.push(back);
-                    engines.push(engine);
-                    spans.push(span);
-                    Slot::Local
+    let slots: Vec<Slot> = members
+        .map(|Member { span, request }| match request {
+            Err(frame) => Slot::Answered(frame, span),
+            Ok((encoded, engine)) => {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let reply = Box::new(move |result, span| {
+                    let _ = tx.send((result, span));
+                });
+                match ctx.batcher.submit(encoded, engine, ctx.source, span, reply) {
+                    Ok(()) => Slot::Parked(rx),
+                    Err(span) => Slot::Answered(ctx.dispatch.shed(), span),
                 }
-            },
-        });
-    }
-    let local = if containers.is_empty() {
-        Vec::new()
-    } else {
-        decode_window(ctx.decoder, metrics, &containers, &engines, &mut spans).0
-    };
-    let mut local = local.into_iter().zip(spans);
-    for slot in slots {
-        let (result, mut span) = match slot {
-            Slot::Failed(frame, span) => (Err(frame), span),
-            Slot::Local => {
-                let (result, span) = local.next().expect("one result per local container");
-                (Ok(result), span)
             }
+        })
+        .collect();
+    for slot in slots {
+        let (frame, mut span, ok) = match slot {
+            Slot::Answered(frame, span) => (frame, span, false),
             Slot::Parked(rx) => match rx.recv() {
-                Ok((result, span)) => (Ok(result), span),
+                Ok((result, span)) => {
+                    let ok = result.is_ok();
+                    (reply_frame(ctx.dispatch.metrics, result), span, ok)
+                }
                 // Gateway shutdown dropped the job; close the connection.
                 Err(_) => return Ok(false),
             },
@@ -614,8 +558,6 @@ fn serve_decode(
         if let Some(span) = &mut span {
             span.stamp(TraceStage::ReplyQueued);
         }
-        let ok = matches!(result, Ok(Ok(_)));
-        let frame = result.map_or_else(|frame| frame, |result| reply_frame(metrics, result));
         let written = protocol::write_flushed(stream, &frame);
         ctx.dispatch.finish(received, span, ok && written.is_ok());
         written?;

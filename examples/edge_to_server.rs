@@ -1,7 +1,8 @@
 //! The paper's deployment story over a real (loopback) socket: model-free
 //! edge encoders streaming `.easz` containers to an `easz-server` that
-//! batches the transformer reconstruction across streams — here with the
-//! **cross-connection decode gateway** enabled, so concurrent clients with
+//! batches the transformer reconstruction across streams through its
+//! **cross-connection decode gateway** (tuned here to windows of four), so
+//! concurrent clients with
 //! *distinct mask seeds* (the realistic mixed fleet) still share fused
 //! transformer forwards.
 //!
@@ -110,8 +111,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("all gateway replies byte-identical to local serial decode");
 
-    // One DECODE_BATCH frame still works with the gateway on (each entry
-    // is parked individually, so it can fuse with other connections too).
+    // One DECODE_BATCH frame goes through the same gateway (each entry is
+    // parked individually, so it can fuse with other connections too).
     let batch: Vec<&[u8]> = wires.iter().map(Vec::as_slice).collect();
     let results = client.decode_batch(&batch)?;
     for (i, result) in results.iter().enumerate() {

@@ -1,10 +1,9 @@
 //! Chaos soak for the serving stack: seeded fault schedules (torn writes,
 //! EINTR storms, aborted accepts, short reads, stalled / panicking decodes,
-//! refused gateway submissions) against both front ends (the threaded one
-//! with and without a gateway), asserting the failure-model contract end to
-//! end — no hangs, one typed reply per request, exact metrics
-//! reconciliation, and every successful reply byte-identical to a
-//! fault-free local decode.
+//! refused gateway submissions, shed with `BUSY` on either) against both
+//! front ends, asserting the failure-model contract end to end — no hangs,
+//! one typed reply per request, exact metrics reconciliation, and every
+//! successful reply byte-identical to a fault-free local decode.
 //!
 //! Faults come from `easz_server::fault` (compiled in via the test-only
 //! `fault-injection` feature): every schedule is a pure function of its
@@ -54,22 +53,19 @@ fn local_references(model: &Arc<Reconstructor>, wires: &[Vec<u8>]) -> Vec<ImageU
     wires.iter().map(|w| local.decode_bytes(w).expect("local decode").to_u8()).collect()
 }
 
-/// The serving topologies under chaos. All three decode through the one
-/// shared routine; `ThreadedInline` (no gateway) runs it on the handler
-/// thread — every request, batches included — rather than on a pool worker.
+/// The serving topologies under chaos: both front ends, each decoding
+/// every request through the gateway's worker pool.
 #[derive(Clone, Copy, Debug)]
 enum Front {
-    ThreadedGateway,
+    Threaded,
     Reactor,
-    ThreadedInline,
 }
 
 fn spawn(front: Front, model: &Arc<Reconstructor>, gateway: GatewayConfig) -> ServerHandle {
-    let server = EaszServer::new(model.clone());
+    let server = EaszServer::new(model.clone()).with_gateway(gateway);
     match front {
-        Front::ThreadedGateway => server.with_gateway(gateway),
-        Front::Reactor => server.with_gateway(gateway).with_reactor(ReactorConfig::default()),
-        Front::ThreadedInline => server,
+        Front::Threaded => server,
+        Front::Reactor => server.with_reactor(ReactorConfig::default()),
     }
     .spawn("127.0.0.1:0")
     .expect("spawn server")
@@ -106,6 +102,7 @@ fn reconcile(stats: &easz::server::ServerStats, context: &str) {
         "{context}: every admitted decode must be answered exactly once \
          (ok + typed error + shed must account for all requests)"
     );
+    assert_eq!(stats.inline_decodes, 0, "{context}: nothing decodes outside the gateway");
 }
 
 fn chaos_plan(seed: u64) -> FaultPlan {
@@ -236,7 +233,7 @@ fn chaos_soak_holds_the_failure_model_on_both_front_ends() {
     let mut total = FaultCounters::default();
     let mut successes = 0usize;
     for seed in 0..8u64 {
-        for front in [Front::Reactor, Front::ThreadedGateway, Front::ThreadedInline] {
+        for front in [Front::Reactor, Front::Threaded] {
             let (counters, ok) = run_schedule(seed, front, &model, &wires, &references);
             successes += ok;
             total = FaultCounters {
@@ -269,7 +266,7 @@ fn a_forced_decode_panic_fails_one_request_and_the_pool_recovers() {
     let model = model();
     let wires = fleet_containers(&[31, 32]);
     let references = local_references(&model, &wires);
-    for front in [Front::ThreadedGateway, Front::Reactor, Front::ThreadedInline] {
+    for front in [Front::Threaded, Front::Reactor] {
         let _guard = fault::install(FaultPlan { decode_panic_oneshot: 1, ..FaultPlan::default() });
         let gateway = GatewayConfig {
             max_batch: 4,
@@ -293,8 +290,8 @@ fn a_forced_decode_panic_fails_one_request_and_the_pool_recovers() {
             other => panic!("{front:?}: expected INTERNAL, got {other:?}"),
         }
 
-        // Same connection, post-panic: the worker was respawned (or the
-        // handler survived), and replies are byte-identical again.
+        // Same connection, post-panic: the worker was respawned and replies
+        // are byte-identical again.
         for (i, wire) in wires.iter().enumerate() {
             let img = client.decode(wire).unwrap_or_else(|e| {
                 panic!("{front:?}: decode {i} after the panic must succeed: {e}")
@@ -305,12 +302,7 @@ fn a_forced_decode_panic_fails_one_request_and_the_pool_recovers() {
         let stats = client.stats().expect("stats");
         assert!(stats.panics_caught >= 1, "{front:?}: {stats:?}");
         assert_eq!(stats.error_count(ErrorCode::Internal), 1, "{front:?}");
-        match front {
-            Front::ThreadedInline => {
-                assert_eq!(stats.worker_respawns, 0, "{front:?}: no pool, no respawn")
-            }
-            _ => assert_eq!(stats.worker_respawns, 1, "{front:?}: one poisoning, one respawn"),
-        }
+        assert_eq!(stats.worker_respawns, 1, "{front:?}: one poisoning, one respawn");
         reconcile(&stats, &format!("{front:?}"));
         drop(client);
         handle.shutdown().expect("shutdown");
@@ -322,7 +314,7 @@ fn a_stalled_worker_expires_queued_deadlines_instead_of_parking_handlers() {
     let model = model();
     let wires = fleet_containers(&[41]);
     let references = local_references(&model, &wires);
-    for front in [Front::ThreadedGateway, Front::Reactor] {
+    for front in [Front::Threaded, Front::Reactor] {
         let _guard = fault::install(FaultPlan {
             decode_delay_oneshot: 1,
             decode_delay_us: 1_500_000,
@@ -455,7 +447,7 @@ fn mutated_container_replay_stays_typed_and_the_connection_survives() {
     let model = model();
     let wires = fleet_containers(&[51, 52, 53]);
     let references = local_references(&model, &wires);
-    for front in [Front::ThreadedGateway, Front::Reactor, Front::ThreadedInline] {
+    for front in [Front::Threaded, Front::Reactor] {
         // A neutral plan injects nothing but holds the fault serialization
         // lock, so a concurrently running chaos test cannot leak injected
         // faults into this sweep's accounting.

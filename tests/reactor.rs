@@ -1,8 +1,9 @@
 //! The epoll reactor front end over real loopback sockets: replies must be
 //! byte-identical to the threaded front end and to local serial decoding,
 //! pipelined replies must keep request order, typed errors must never kill
-//! the connection, and the reactor-only behaviours — admission control,
-//! load shedding, idle sweeps, shutdown flushing — must hold under fire.
+//! the connection, and the reactor's own behaviours — admission control,
+//! idle sweeps, shutdown flushing — must hold under fire. Load shedding is
+//! checked here on both front ends.
 //!
 //! The reactor is Linux-only (epoll), so this whole suite is too.
 #![cfg(target_os = "linux")]
@@ -385,12 +386,13 @@ fn reactor_admission_control_answers_busy_and_recovers() {
 }
 
 #[test]
-fn reactor_sheds_decode_overload_with_busy() {
-    // A gateway with a 4-deep queue and a 1 s window budget: ten pipelined
-    // DECODEs arrive while the first window is still collecting, so exactly
-    // four are parked and six are shed with the typed BUSY error — never
-    // decoded inline on the loop, never silently dropped. Replies keep
-    // request order: four IMAGEs, then six BUSYs.
+fn decode_overload_sheds_with_positional_busy_on_both_front_ends() {
+    // A gateway with a 4-deep queue and a 1 s window budget: one
+    // DECODE_BATCH of ten arrives while the first window is still
+    // collecting, so exactly four members are parked and six are shed with
+    // the typed BUSY error — on either front end, never decoded outside the
+    // gateway, never silently dropped. Replies are positional: four IMAGEs,
+    // then six BUSYs.
     let model = model();
     let wires = fleet_containers(&[3]);
     let references = local_references(&model, &wires);
@@ -402,41 +404,46 @@ fn reactor_sheds_decode_overload_with_busy() {
         adaptive_wait: false,
         deadline_us: 0,
     };
-    let handle = EaszServer::new(model)
-        .with_gateway(gateway)
-        .with_reactor(ReactorConfig::default())
-        .spawn("127.0.0.1:0")
-        .expect("spawn");
-
-    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
-    raw.set_read_timeout(Some(Duration::from_secs(30))).expect("client timeout");
-    for _ in 0..10 {
-        protocol::write_frame(&mut raw, protocol::DECODE, &wires[0]).expect("write");
-    }
-    for i in 0..10usize {
-        let (ty, payload) = protocol::read_frame(&mut raw, 1 << 24).expect("read").expect("frame");
-        if i < 4 {
-            assert_eq!(ty, protocol::IMAGE, "reply {i} must be a decoded image");
-            let img = protocol::decode_image(&payload).expect("image payload");
-            assert_eq!(img.data(), references[0].data(), "shed survivors still decode exactly");
-        } else {
-            assert_eq!(ty, protocol::ERROR, "reply {i} must be shed");
-            let err = protocol::WireError::from_payload(&payload).expect("error payload");
-            assert_eq!(err.code, ErrorCode::Busy, "shedding must use the typed BUSY error");
+    let batch = protocol::encode_batch(&[wires[0].as_slice(); 10]);
+    let server = || EaszServer::new(model.clone()).with_gateway(gateway.clone());
+    let fronts =
+        [("threaded", server()), ("reactor", server().with_reactor(ReactorConfig::default()))];
+    for (front_end, server) in fronts {
+        let handle = server.spawn("127.0.0.1:0").expect("spawn");
+        let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(30))).expect("client timeout");
+        protocol::write_frame(&mut raw, protocol::DECODE_BATCH, &batch).expect("write");
+        for i in 0..10usize {
+            let (ty, payload) =
+                protocol::read_frame(&mut raw, 1 << 24).expect("read").expect("frame");
+            if i < 4 {
+                assert_eq!(ty, protocol::IMAGE, "{front_end}: reply {i} must be a decoded image");
+                let img = protocol::decode_image(&payload).expect("image payload");
+                assert_eq!(
+                    img.data(),
+                    references[0].data(),
+                    "{front_end}: survivors decode exactly"
+                );
+            } else {
+                assert_eq!(ty, protocol::ERROR, "{front_end}: reply {i} must be shed");
+                let err = protocol::WireError::from_payload(&payload).expect("error payload");
+                assert_eq!(err.code, ErrorCode::Busy, "{front_end}: shedding uses typed BUSY");
+            }
         }
-    }
-    // The connection survives shedding.
-    protocol::write_frame(&mut raw, protocol::PING, &[protocol::PROTOCOL_VERSION]).expect("write");
-    let (ty, _) = protocol::read_frame(&mut raw, 1 << 20).expect("read").expect("frame");
-    assert_eq!(ty, protocol::PONG, "connection must survive being shed");
+        // The connection survives shedding.
+        protocol::write_frame(&mut raw, protocol::PING, &[protocol::PROTOCOL_VERSION])
+            .expect("write");
+        let (ty, _) = protocol::read_frame(&mut raw, 1 << 20).expect("read").expect("frame");
+        assert_eq!(ty, protocol::PONG, "{front_end}: connection must survive being shed");
 
-    let stats = handle.metrics().snapshot();
-    assert_eq!(stats.requests_shed, 6, "exactly the overflow is shed");
-    assert_eq!(stats.error_count(ErrorCode::Busy), 6);
-    assert_eq!(stats.decode_ok, 4);
-    assert_eq!(stats.decode_requests, 10);
-    drop(raw);
-    handle.shutdown().expect("clean shutdown");
+        let stats = handle.metrics().snapshot();
+        assert_eq!(stats.requests_shed, 6, "{front_end}: exactly the overflow is shed");
+        assert_eq!(stats.error_count(ErrorCode::Busy), 6, "{front_end}");
+        assert_eq!((stats.decode_ok, stats.decode_requests), (4, 10), "{front_end}");
+        assert_eq!(stats.inline_decodes, 0, "{front_end}: nothing decodes outside the gateway");
+        drop(raw);
+        handle.shutdown().expect("clean shutdown");
+    }
 }
 
 #[test]

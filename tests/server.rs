@@ -279,8 +279,7 @@ fn gateway_fuses_concurrent_mixed_mask_clients_byte_identically() {
     });
 
     // The gateway must have actually batched: all 12 decodes succeeded and
-    // were dispatched through windows (not the inline fallback, whose
-    // queue never filled here).
+    // were dispatched through windows (none shed: the queue never filled).
     let stats = handle.metrics().snapshot();
     assert_eq!(stats.decode_ok, 12, "every request must decode");
     assert_eq!(stats.decode_requests, 12);

@@ -210,7 +210,7 @@ fn every_front_end_keeps_the_same_books_for_good_garbage_and_bad_tier_requests()
         TraceConfig { capacity: 64, sample_every: 1, slow_threshold_us: 0, slow_capacity: 0 };
     let server = || EaszServer::new(model()).with_trace(trace_all);
     let mut fronts = vec![
-        ("threaded inline", server()),
+        ("threaded default", server()),
         ("threaded gateway", server().with_gateway(traced_gateway())),
     ];
     if cfg!(target_os = "linux") {
