@@ -7,8 +7,8 @@
 //! 1-2 orders of magnitude for the autoregressive models.
 
 use easz_bench::{kodak_eval_set, ResultSink};
-use easz_codecs::{encode_to_bpp, ImageCodec, NeuralSimCodec, NeuralTier};
-use easz_testbed::{Testbed, WorkloadProfile};
+use easz_codecs::{encode_to_bpp, ImageCodec};
+use easz_testbed::{NeuralSimCodec, NeuralTier, Testbed, WorkloadProfile};
 
 fn main() {
     let mut sink = ResultSink::new("fig1_edge_gap");

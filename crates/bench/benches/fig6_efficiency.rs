@@ -8,9 +8,9 @@
 //! 1.93 / 1.98 GB.
 
 use easz_bench::{kodak_eval_set, ResultSink};
-use easz_codecs::{encode_to_bpp, JpegLikeCodec, NeuralSimCodec, NeuralTier};
+use easz_codecs::{encode_to_bpp, JpegLikeCodec};
 use easz_core::{EaszConfig, EaszEncoder, ReconstructorConfig};
-use easz_testbed::{Testbed, WorkloadProfile};
+use easz_testbed::{NeuralSimCodec, NeuralTier, Testbed, WorkloadProfile};
 
 const PAPER_PIXELS: usize = 512 * 768;
 

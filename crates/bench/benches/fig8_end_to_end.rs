@@ -7,10 +7,10 @@
 //! (paper: 2568 ms average, an 89% reduction).
 
 use easz_bench::{bench_model, kodak_eval_set, mean, ResultSink};
-use easz_codecs::{encode_to_bpp, ImageCodec, JpegLikeCodec, NeuralSimCodec, NeuralTier};
+use easz_codecs::{encode_to_bpp, ImageCodec, JpegLikeCodec};
 use easz_core::{EaszConfig, EaszDecoder, EaszEncoder, ReconstructorConfig};
 use easz_metrics::{brisque, pi, tres};
-use easz_testbed::{Testbed, WorkloadProfile};
+use easz_testbed::{NeuralSimCodec, NeuralTier, Testbed, WorkloadProfile};
 
 const PAPER_PIXELS: usize = 512 * 768;
 

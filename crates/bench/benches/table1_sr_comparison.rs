@@ -11,13 +11,13 @@
 //! on both metrics with a ~8x smaller model.
 
 use easz_bench::{bench_model, kodak_eval_set, mean, ResultSink};
-use easz_codecs::sr::{BicubicUpscaler, EnhancedUpscaler, Upscaler};
 use easz_core::{
     EaszConfig, EaszDecoder, EaszEncoder, MaskStrategy, Orientation, Reconstructor,
     ReconstructorConfig,
 };
 use easz_image::resample::downsample2;
 use easz_metrics::{ms_ssim, psnr};
+use easz_testbed::sr::{BicubicUpscaler, EnhancedUpscaler, Upscaler};
 
 fn main() {
     let mut sink = ResultSink::new("table1_sr_comparison");

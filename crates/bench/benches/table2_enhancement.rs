@@ -8,12 +8,11 @@
 //! higher TReS) at equal-or-lower BPP for every codec on both datasets.
 
 use easz_bench::{bench_model, clic_eval_set, kodak_eval_set, mean, ResultSink};
-use easz_codecs::{
-    encode_to_bpp, BpgLikeCodec, ImageCodec, JpegLikeCodec, NeuralSimCodec, NeuralTier,
-};
+use easz_codecs::{encode_to_bpp, BpgLikeCodec, CodecRegistry, ImageCodec, JpegLikeCodec};
 use easz_core::{EaszConfig, EaszDecoder, EaszEncoder};
 use easz_image::ImageF32;
 use easz_metrics::{brisque, pi, tres};
+use easz_testbed::{NeuralSimCodec, NeuralTier};
 
 struct Row {
     bpp: f64,
@@ -61,7 +60,13 @@ fn main() {
     let model = bench_model();
     let encoder =
         EaszEncoder::new(EaszConfig { mask_seed: 21, ..EaszConfig::default() }).expect("encoder");
-    let decoder = EaszDecoder::new(&model);
+    // The simulated codecs are not in the default registry: register the
+    // two whose +easz containers this table decodes.
+    let mut registry = CodecRegistry::with_defaults();
+    registry
+        .register(Box::new(NeuralSimCodec::new(NeuralTier::Mbt)))
+        .register(Box::new(NeuralSimCodec::new(NeuralTier::ChengAnchor)));
+    let decoder = EaszDecoder::with_registry(&model, registry);
     let jpeg = JpegLikeCodec::new();
     let bpg = BpgLikeCodec::new();
     let mbt = NeuralSimCodec::new(NeuralTier::Mbt);

@@ -1,18 +1,18 @@
 //! # easz-codecs
 //!
 //! Image codecs and entropy-coding substrate for the Easz reproduction
-//! (Mao et al., DAC 2025). All baselines the paper measures against are
-//! implemented here, from scratch:
+//! (Mao et al., DAC 2025), implemented from scratch. These are the codecs
+//! a decoder serves: [`CodecRegistry::with_defaults`] holds exactly the two
+//! below.
 //!
 //! * [`JpegLikeCodec`] — baseline-JPEG-style transform codec (8×8 DCT,
 //!   Annex-K quantisation, Huffman coding).
 //! * [`BpgLikeCodec`] — HEVC-intra-style codec (intra prediction, 16×16
 //!   residual DCT, adaptive range coding, deblocking).
-//! * [`NeuralSimCodec`] — simulated learned codecs (MBT, Cheng-Anchor,
-//!   Ballé tiers) with real bitstreams one quality tier above BPG plus the
-//!   published architectures' cost profiles (see "Reproduction scope" in the
-//!   README).
-//! * [`sr`] — super-resolution baselines for the paper's Table I.
+//! * [`transform`] — the intra-prediction transform engine behind
+//!   [`BpgLikeCodec`]. `easz-testbed` builds its simulated learned codecs
+//!   (MBT, Cheng-Anchor, Ballé tiers) on it; they are not served (see
+//!   "Reproduction scope" in the README).
 //! * [`entropy`] — bit I/O, canonical Huffman, adaptive binary range coder.
 //! * [`wire`] — the one place untrusted bytes are bounds-checked: the byte
 //!   [`Cursor`](wire::Cursor) every parser in the workspace reads through
@@ -43,9 +43,7 @@ mod codec;
 pub mod dct;
 pub mod entropy;
 mod jpeg;
-mod neural;
 mod registry;
-pub mod sr;
 pub mod transform;
 pub mod wire;
 
@@ -54,6 +52,5 @@ pub use codec::{
     bpp_quality_search, encode_to_bpp, encode_with, CodecError, Encoded, ImageCodec, Quality,
 };
 pub use jpeg::JpegLikeCodec;
-pub use neural::{CostProfile, NeuralSimCodec, NeuralTier};
 pub use registry::{CodecId, CodecRegistry};
 pub use wire::MAX_PIXELS;

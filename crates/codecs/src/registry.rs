@@ -7,13 +7,16 @@
 //! the codec up *from the bitstream header*.
 
 use crate::codec::ImageCodec;
-use crate::{BpgLikeCodec, JpegLikeCodec, NeuralSimCodec, NeuralTier};
+use crate::{BpgLikeCodec, JpegLikeCodec};
 use std::fmt;
 
 /// Stable one-byte wire identifier of an inner codec.
 ///
 /// Ids `0..=63` are reserved for codecs shipped in this workspace; embedders
-/// registering their own codecs should use `64..=255`.
+/// registering their own codecs should use `64..=255`. Ids 3–6 name the
+/// simulated learned codecs of `easz-testbed`: reserved, because wire ids
+/// are append-only, but not in [`CodecRegistry::with_defaults`], so a
+/// default decoder answers them as unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CodecId(pub u8);
 
@@ -24,13 +27,13 @@ impl CodecId {
     pub const JPEG_LIKE: CodecId = CodecId(1);
     /// [`BpgLikeCodec`].
     pub const BPG_LIKE: CodecId = CodecId(2);
-    /// [`NeuralSimCodec`] at [`NeuralTier::BalleFactorized`].
+    /// Reserved: simulated Ballé factorized prior (`easz-testbed`).
     pub const BALLE_FACTORIZED: CodecId = CodecId(3);
-    /// [`NeuralSimCodec`] at [`NeuralTier::BalleHyperprior`].
+    /// Reserved: simulated Ballé hyperprior (`easz-testbed`).
     pub const BALLE_HYPERPRIOR: CodecId = CodecId(4);
-    /// [`NeuralSimCodec`] at [`NeuralTier::Mbt`].
+    /// Reserved: simulated MBT (`easz-testbed`).
     pub const MBT: CodecId = CodecId(5);
-    /// [`NeuralSimCodec`] at [`NeuralTier::ChengAnchor`].
+    /// Reserved: simulated Cheng-Anchor (`easz-testbed`).
     pub const CHENG_ANCHOR: CodecId = CodecId(6);
 
     /// The raw wire byte.
@@ -79,15 +82,11 @@ impl CodecRegistry {
     }
 
     /// A registry holding every codec shipped in this crate under its
-    /// well-known id.
+    /// well-known id: [`JpegLikeCodec`] and [`BpgLikeCodec`].
     pub fn with_defaults() -> Self {
         let mut r = Self::empty();
         r.register(Box::new(JpegLikeCodec::new()));
         r.register(Box::new(BpgLikeCodec::new()));
-        r.register(Box::new(NeuralSimCodec::new(NeuralTier::BalleFactorized)));
-        r.register(Box::new(NeuralSimCodec::new(NeuralTier::BalleHyperprior)));
-        r.register(Box::new(NeuralSimCodec::new(NeuralTier::Mbt)));
-        r.register(Box::new(NeuralSimCodec::new(NeuralTier::ChengAnchor)));
         r
     }
 
@@ -114,11 +113,6 @@ impl CodecRegistry {
         self.entries.iter().find(|(i, _)| *i == id).map(|(_, c)| c.as_ref())
     }
 
-    /// Resolves a codec by display name (useful for CLI-style selection).
-    pub fn get_by_name(&self, name: &str) -> Option<&dyn ImageCodec> {
-        self.entries.iter().find(|(_, c)| c.name() == name).map(|(_, c)| c.as_ref())
-    }
-
     /// All registered ids, in registration order.
     pub fn ids(&self) -> Vec<CodecId> {
         self.entries.iter().map(|(i, _)| *i).collect()
@@ -132,27 +126,21 @@ mod tests {
     #[test]
     fn defaults_cover_all_shipped_codecs() {
         let r = CodecRegistry::with_defaults();
+        assert_eq!(r.ids(), [CodecId::JPEG_LIKE, CodecId::BPG_LIKE]);
+        for id in r.ids() {
+            assert_eq!(r.get(id).map(|c| c.id()), Some(id), "{id} registered under a foreign id");
+        }
+        // The reserved simulated ids are not served by default.
         for id in [
-            CodecId::JPEG_LIKE,
-            CodecId::BPG_LIKE,
+            CodecId::UNKNOWN,
             CodecId::BALLE_FACTORIZED,
             CodecId::BALLE_HYPERPRIOR,
             CodecId::MBT,
             CodecId::CHENG_ANCHOR,
+            CodecId(200),
         ] {
-            let codec = r.get(id).unwrap_or_else(|| panic!("{id} not registered"));
-            assert_eq!(codec.id(), id, "{id} registered under a foreign id");
+            assert!(r.get(id).is_none(), "{id} must not be in the default registry");
         }
-        assert!(r.get(CodecId::UNKNOWN).is_none());
-        assert!(r.get(CodecId(200)).is_none());
-    }
-
-    #[test]
-    fn lookup_by_name_matches_lookup_by_id() {
-        let r = CodecRegistry::with_defaults();
-        let by_name = r.get_by_name("bpg-like").expect("bpg registered");
-        assert_eq!(by_name.id(), CodecId::BPG_LIKE);
-        assert!(r.get_by_name("no-such-codec").is_none());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Shared intra-prediction transform-coding engine.
 //!
-//! The BPG-like codec and the simulated neural codecs (MBT-sim, Cheng-sim)
-//! are all instances of this engine with different [`EngineConfig`]s: block
-//! sizes, chroma quantisation, dead-zone quantiser and loop-filter strength.
-//! This mirrors reality — learned codecs are transform codecs with better
+//! The BPG-like codec is one instance of this engine ([`EngineConfig::bpg`]).
+//! `easz-testbed`'s simulated neural codecs (MBT-sim, Cheng-sim, the Ballé
+//! tiers) are others, with their own [`EngineConfig`]s: block sizes, chroma
+//! quantisation, dead-zone quantiser and loop-filter strength. This mirrors
+//! reality — learned codecs are transform codecs with better
 //! transforms/entropy models — and keeps the rate-quality *ordering*
 //! (JPEG < BPG < MBT < Cheng) that the paper's experiments rely on.
 
@@ -50,34 +51,6 @@ impl EngineConfig {
             deblock_scale: 6.0,
             deblock_passes: 1,
             step_scale: 1.0,
-        }
-    }
-
-    /// The MBT (Minnen et al. 2018) simulator configuration.
-    pub fn mbt_sim() -> Self {
-        Self {
-            magic: *b"EMBT",
-            luma_block: 16,
-            chroma_block: 8,
-            chroma_step_scale: 1.25,
-            deadzone: 0.62,
-            deblock_scale: 8.0,
-            deblock_passes: 2,
-            step_scale: 0.92,
-        }
-    }
-
-    /// The Cheng-Anchor (CVPR 2020) simulator configuration.
-    pub fn cheng_sim() -> Self {
-        Self {
-            magic: *b"ECHG",
-            luma_block: 16,
-            chroma_block: 8,
-            chroma_step_scale: 1.2,
-            deadzone: 0.66,
-            deblock_scale: 9.0,
-            deblock_passes: 2,
-            step_scale: 0.85,
         }
     }
 }

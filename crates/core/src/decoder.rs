@@ -96,7 +96,11 @@ impl<'m> std::fmt::Debug for EaszDecoder<'m> {
 impl<'m> EaszDecoder<'m> {
     /// Creates a decoder around a trained reconstructor (served as the
     /// generic model, id 0) with every codec shipped in `easz-codecs`
-    /// registered ([`CodecRegistry::with_defaults`]).
+    /// registered ([`CodecRegistry::with_defaults`]: `jpeg-like` and
+    /// `bpg-like`). A container naming any other codec — the simulated
+    /// ones of `easz-testbed` included — fails with
+    /// [`EaszError::UnknownCodec`]; use
+    /// [`with_registry`](Self::with_registry) to decode those.
     pub fn new(model: &'m Reconstructor) -> Self {
         Self::with_registry(model, CodecRegistry::with_defaults())
     }

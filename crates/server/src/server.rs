@@ -143,7 +143,8 @@ impl std::fmt::Debug for EaszServer {
 
 impl EaszServer {
     /// Creates a server around a trained reconstructor with the default
-    /// codec registry and configuration.
+    /// codec registry ([`CodecRegistry::with_defaults`]: `jpeg-like` and
+    /// `bpg-like` only) and configuration.
     pub fn new(model: Arc<Reconstructor>) -> Self {
         Self {
             model,

@@ -152,7 +152,12 @@ pub fn run_tasks(n_tasks: usize, f: &(dyn Fn(usize) + Sync)) {
 /// partition guarantees disjoint access.
 #[derive(Clone, Copy)]
 struct SendPtr(*mut f32);
+// SAFETY: the pointer is only dereferenced inside `pool::run` tasks, each on
+// its own disjoint row block of the output, and `run` returns only after
+// every task has finished, so the borrowed buffer outlives every access.
 unsafe impl Send for SendPtr {}
+// SAFETY: as for `Send`: shared copies are only used to form disjoint
+// mutable row slices, never to alias one element.
 unsafe impl Sync for SendPtr {}
 
 /// Output-column block width of the register-tiled kernel: 16 lanes are two
@@ -336,6 +341,10 @@ mod pool {
         f: *const (dyn Fn(usize) + Sync),
         n_tasks: usize,
     }
+    // SAFETY: the closure behind `f` is `Sync`, and a worker only
+    // dereferences it between adopting the job and decrementing `active`;
+    // the dispatcher waits for `active == 0` and clears the slot (even when
+    // unwinding, via `JobGuard`) before the closure's borrow ends.
     unsafe impl Send for Job {}
 
     #[derive(Default)]

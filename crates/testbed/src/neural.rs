@@ -1,19 +1,22 @@
-//! Simulated neural codecs: MBT (Minnen et al., NeurIPS'18) and
-//! Cheng-Anchor (Cheng et al., CVPR'20).
+//! Simulated neural codecs: the Ballé tiers, MBT (Minnen et al.,
+//! NeurIPS'18) and Cheng-Anchor (Cheng et al., CVPR'20).
 //!
 //! The paper uses these as its strongest baselines. Training the real
 //! models is out of scope on this substrate (README, "Reproduction scope");
-//! instead each is an instance of the shared transform engine tuned one
-//! quality tier above the BPG-like codec (finer chroma, RD-style dead-zone
-//! quantisation, stronger loop filtering, more efficient step scaling), plus
-//! a **cost profile** carrying the published architecture's parameter count
-//! and encode/decode complexity. Quality experiments exercise the real
-//! bitstreams; efficiency experiments (Fig 1, Fig 6, Fig 8d) consume the
-//! cost profiles through `easz-testbed`.
+//! instead each is an instance of `easz-codecs`' shared transform engine
+//! tuned one quality tier above the BPG-like codec (finer chroma, RD-style
+//! dead-zone quantisation, stronger loop filtering, more efficient step
+//! scaling). Quality experiments exercise the real bitstreams; efficiency
+//! experiments (Fig 1, Fig 6, Fig 8d) take the published architectures'
+//! cost from [`WorkloadProfile::neural`](crate::WorkloadProfile::neural).
+//!
+//! None of them is in
+//! [`CodecRegistry::with_defaults`](easz_codecs::CodecRegistry::with_defaults):
+//! a decoder answers their reserved ids with `UnknownCodec` unless its
+//! caller registers them.
 
-use crate::codec::{CodecError, ImageCodec, Quality};
-use crate::registry::CodecId;
-use crate::transform::{decode_engine, encode_engine, EngineConfig};
+use easz_codecs::transform::{decode_engine, encode_engine, EngineConfig};
+use easz_codecs::{CodecError, CodecId, ImageCodec, Quality};
 use easz_image::ImageF32;
 
 /// Which published neural codec a [`NeuralSimCodec`] stands in for.
@@ -41,69 +44,12 @@ impl NeuralTier {
     }
 }
 
-/// Compute/size profile of a neural codec (values from the published
-/// architectures; consumed by the testbed latency/power/memory models).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostProfile {
-    /// Serialized model size in bytes (all rate points bundled, as deployed).
-    pub model_bytes: u64,
-    /// Encoder cost in FLOPs per input pixel.
-    pub encode_flops_per_pixel: f64,
-    /// Decoder cost in FLOPs per input pixel.
-    pub decode_flops_per_pixel: f64,
-    /// Peak working-set memory per pixel during encode, in bytes.
-    pub encode_mem_bytes_per_pixel: f64,
-    /// Whether encode is serial (autoregressive context models cannot be
-    /// parallelised across pixels, the reason MBT/Cheng are so slow on edge
-    /// GPUs).
-    pub autoregressive: bool,
-}
-
-impl NeuralTier {
-    /// The published-architecture cost profile.
-    ///
-    /// FLOPs/pixel figures follow the common accounting for these models
-    /// (e.g. ~300-500 kFLOPs/px for hyperprior-class encoders; the
-    /// autoregressive context models add serial decode cost).
-    pub fn cost_profile(self) -> CostProfile {
-        match self {
-            NeuralTier::BalleFactorized => CostProfile {
-                model_bytes: 12 * 1024 * 1024,
-                encode_flops_per_pixel: 250e3,
-                decode_flops_per_pixel: 250e3,
-                encode_mem_bytes_per_pixel: 1200.0,
-                autoregressive: false,
-            },
-            NeuralTier::BalleHyperprior => CostProfile {
-                model_bytes: 25 * 1024 * 1024,
-                encode_flops_per_pixel: 350e3,
-                decode_flops_per_pixel: 350e3,
-                encode_mem_bytes_per_pixel: 1600.0,
-                autoregressive: false,
-            },
-            NeuralTier::Mbt => CostProfile {
-                model_bytes: 60 * 1024 * 1024,
-                encode_flops_per_pixel: 450e3,
-                decode_flops_per_pixel: 450e3,
-                encode_mem_bytes_per_pixel: 2000.0,
-                autoregressive: true,
-            },
-            NeuralTier::ChengAnchor => CostProfile {
-                model_bytes: 120 * 1024 * 1024,
-                encode_flops_per_pixel: 900e3,
-                decode_flops_per_pixel: 900e3,
-                encode_mem_bytes_per_pixel: 2100.0,
-                autoregressive: true,
-            },
-        }
-    }
-}
-
 /// A simulated learned codec (see module docs for what is and is not real).
 ///
 /// ```
-/// use easz_codecs::{ImageCodec, NeuralSimCodec, NeuralTier, Quality};
+/// use easz_codecs::{ImageCodec, Quality};
 /// use easz_image::{Channels, ImageF32};
+/// use easz_testbed::{NeuralSimCodec, NeuralTier};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let codec = NeuralSimCodec::new(NeuralTier::Mbt);
 /// let img = ImageF32::new(32, 32, Channels::Rgb);
@@ -121,26 +67,34 @@ pub struct NeuralSimCodec {
 impl NeuralSimCodec {
     /// Creates the simulator for a tier.
     pub fn new(tier: NeuralTier) -> Self {
+        let mbt = EngineConfig {
+            magic: *b"EMBT",
+            luma_block: 16,
+            chroma_block: 8,
+            chroma_step_scale: 1.25,
+            deadzone: 0.62,
+            deblock_scale: 8.0,
+            deblock_passes: 2,
+            step_scale: 0.92,
+        };
         let cfg = match tier {
-            // The Ballé tiers reuse the MBT engine config: Fig 1 only needs
-            // their cost profiles, but a real bitstream keeps them usable.
-            NeuralTier::BalleFactorized | NeuralTier::BalleHyperprior => {
-                EngineConfig { magic: *b"EBAL", ..EngineConfig::mbt_sim() }
-            }
-            NeuralTier::Mbt => EngineConfig::mbt_sim(),
-            NeuralTier::ChengAnchor => EngineConfig::cheng_sim(),
+            // The Ballé tiers reuse the MBT engine under magics of their
+            // own: Fig 1 only needs their cost, but a real bitstream keeps
+            // them usable, and distinct magics keep each tier rejecting the
+            // others' streams.
+            NeuralTier::BalleFactorized => EngineConfig { magic: *b"EBAL", ..mbt },
+            NeuralTier::BalleHyperprior => EngineConfig { magic: *b"EBHP", ..mbt },
+            NeuralTier::Mbt => mbt,
+            NeuralTier::ChengAnchor => EngineConfig {
+                magic: *b"ECHG",
+                chroma_step_scale: 1.2,
+                deadzone: 0.66,
+                deblock_scale: 9.0,
+                step_scale: 0.85,
+                ..mbt
+            },
         };
         Self { tier, cfg }
-    }
-
-    /// Which tier this codec simulates.
-    pub fn tier(&self) -> NeuralTier {
-        self.tier
-    }
-
-    /// The published-architecture cost profile (for the testbed).
-    pub fn cost_profile(&self) -> CostProfile {
-        self.tier.cost_profile()
     }
 }
 
@@ -170,9 +124,16 @@ impl ImageCodec for NeuralSimCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bpg::BpgLikeCodec;
-    use crate::codec::encode_to_bpp;
+    use crate::WorkloadProfile;
+    use easz_codecs::{encode_to_bpp, BpgLikeCodec};
     use easz_image::Channels;
+
+    const TIERS: [NeuralTier; 4] = [
+        NeuralTier::BalleFactorized,
+        NeuralTier::BalleHyperprior,
+        NeuralTier::Mbt,
+        NeuralTier::ChengAnchor,
+    ];
 
     fn test_image(w: usize, h: usize) -> ImageF32 {
         let mut img = ImageF32::new(w, h, Channels::Rgb);
@@ -197,12 +158,7 @@ mod tests {
     #[test]
     fn round_trip_all_tiers() {
         let img = test_image(48, 32);
-        for tier in [
-            NeuralTier::BalleFactorized,
-            NeuralTier::BalleHyperprior,
-            NeuralTier::Mbt,
-            NeuralTier::ChengAnchor,
-        ] {
+        for tier in TIERS {
             let codec = NeuralSimCodec::new(tier);
             let dec =
                 codec.decode(&codec.encode(&img, Quality::new(60)).expect("enc")).expect("dec");
@@ -232,28 +188,23 @@ mod tests {
 
     #[test]
     fn cost_profiles_scale_with_tier() {
-        let mbt = NeuralTier::Mbt.cost_profile();
-        let cheng = NeuralTier::ChengAnchor.cost_profile();
-        let balle = NeuralTier::BalleFactorized.cost_profile();
+        let mbt = WorkloadProfile::neural(NeuralTier::Mbt);
+        let cheng = WorkloadProfile::neural(NeuralTier::ChengAnchor);
+        let balle = WorkloadProfile::neural(NeuralTier::BalleFactorized);
         assert!(cheng.encode_flops_per_pixel > mbt.encode_flops_per_pixel);
         assert!(mbt.encode_flops_per_pixel > balle.encode_flops_per_pixel);
-        assert!(cheng.model_bytes > mbt.model_bytes);
-        assert!(mbt.autoregressive && cheng.autoregressive && !balle.autoregressive);
+        assert!(cheng.edge_model_bytes > mbt.edge_model_bytes);
+        // Only the autoregressive context models (MBT, Cheng) run serially.
+        assert!(mbt.serial_penalty > 1.0 && cheng.serial_penalty > 1.0);
+        assert_eq!(balle.serial_penalty, 1.0);
+        assert_eq!(WorkloadProfile::neural(NeuralTier::BalleHyperprior).serial_penalty, 1.0);
     }
 
     #[test]
     fn tier_labels_are_distinct() {
-        let labels: Vec<&str> = [
-            NeuralTier::BalleFactorized,
-            NeuralTier::BalleHyperprior,
-            NeuralTier::Mbt,
-            NeuralTier::ChengAnchor,
-        ]
-        .iter()
-        .map(|t| t.label())
-        .collect();
-        let mut dedup = labels.clone();
-        dedup.dedup();
-        assert_eq!(labels.len(), dedup.len());
+        let mut labels: Vec<&str> = TIERS.iter().map(|t| t.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), TIERS.len());
     }
 }

@@ -159,7 +159,7 @@ impl Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easz_codecs::NeuralTier;
+    use crate::NeuralTier;
     use easz_core::ReconstructorConfig;
 
     const PIXELS_512X768: usize = 512 * 768;

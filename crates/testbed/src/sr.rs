@@ -1,4 +1,4 @@
-//! Super-resolution baselines for Table I.
+//! Simulated super-resolution baselines for Table I.
 //!
 //! The paper compares Easz against SwinIR, realESRGAN and BSRGAN in the
 //! "downsample on the edge, super-resolve on the server" regime. The real

@@ -8,7 +8,7 @@
 //! handful of copies per pixel; its server side is inner-codec decode plus
 //! the transformer reconstructor.
 
-use easz_codecs::NeuralTier;
+use crate::NeuralTier;
 use easz_core::ReconstructorConfig;
 
 /// Cost description of one compression scheme.
@@ -72,36 +72,33 @@ impl WorkloadProfile {
         }
     }
 
-    /// A neural codec from its published cost profile.
+    /// A neural codec from its published architecture's cost.
     ///
-    /// Serial penalties are calibrated against the paper's Fig. 1 encode
-    /// latencies on the TX2 (Ballé tiers run parallel; MBT/Cheng pay for
-    /// their autoregressive context models).
+    /// FLOP/pixel figures follow the common accounting for these models
+    /// (~300–500 kFLOP/px for hyperprior-class encoders; decode costs the
+    /// same). Serial penalties are calibrated against the paper's Fig. 1
+    /// encode latencies on the TX2: the Ballé tiers run parallel, MBT/Cheng
+    /// pay for their autoregressive context models. The graph-build cost on
+    /// load is calibrated to Fig. 1's load bars (286 / 552 / 1361 / 11600 ms
+    /// on the TX2; Cheng bundles every rate point).
     pub fn neural(tier: NeuralTier) -> Self {
-        let cost = tier.cost_profile();
-        let serial_penalty = match tier {
-            NeuralTier::BalleFactorized | NeuralTier::BalleHyperprior => 1.0,
-            NeuralTier::Mbt => 27.0,
-            NeuralTier::ChengAnchor => 13.5,
-        };
-        // Graph-build cost on load, calibrated to Fig. 1's load bars
-        // (286 / 552 / 1361 / 11600 ms on the TX2).
-        let extra_init_s = match tier {
-            NeuralTier::BalleFactorized => 0.0,
-            NeuralTier::BalleHyperprior => 0.1,
-            NeuralTier::Mbt => 0.55,
-            NeuralTier::ChengAnchor => 10.0,
+        // (model MiB, FLOP/px, encode bytes/px, serial penalty, init s)
+        let (model_mib, flops_per_pixel, mem_per_pixel, serial_penalty, extra_init_s) = match tier {
+            NeuralTier::BalleFactorized => (12, 250e3, 1200.0, 1.0, 0.0),
+            NeuralTier::BalleHyperprior => (25, 350e3, 1600.0, 1.0, 0.1),
+            NeuralTier::Mbt => (60, 450e3, 2000.0, 27.0, 0.55),
+            NeuralTier::ChengAnchor => (120, 900e3, 2100.0, 13.5, 10.0),
         };
         Self {
             name: tier.label().into(),
-            edge_model_bytes: cost.model_bytes,
-            encode_flops_per_pixel: cost.encode_flops_per_pixel,
+            edge_model_bytes: model_mib * 1024 * 1024,
+            encode_flops_per_pixel: flops_per_pixel,
             encode_on_gpu: true,
             serial_penalty,
-            decode_flops_per_pixel: cost.decode_flops_per_pixel,
+            decode_flops_per_pixel: flops_per_pixel,
             decode_on_gpu: true,
             recon_flops_per_pixel: 0.0,
-            encode_mem_bytes_per_pixel: cost.encode_mem_bytes_per_pixel,
+            encode_mem_bytes_per_pixel: mem_per_pixel,
             encode_cpu_utilisation: 0.4,
             encode_gpu_utilisation: 0.9,
             extra_init_s,

@@ -12,11 +12,11 @@
 //! cargo run --release --example adaptive_streaming
 //! ```
 
-use easz::codecs::{JpegLikeCodec, NeuralTier, Quality};
+use easz::codecs::{JpegLikeCodec, Quality};
 use easz::core::{zoo, EaszConfig, EaszDecoder, EaszEncoder};
 use easz::data::Dataset;
 use easz::metrics::psnr;
-use easz::testbed::{NetworkModel, Testbed, WorkloadProfile};
+use easz::testbed::{NetworkModel, NeuralTier, Testbed, WorkloadProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = zoo::pretrained(zoo::PretrainSpec::quick());

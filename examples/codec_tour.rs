@@ -1,6 +1,6 @@
 //! A rate-distortion tour of every codec in the repository: JPEG-like,
-//! BPG-like, the simulated neural tiers, and each of them enhanced with
-//! Easz — the qualitative content of the paper's Table II in one run.
+//! BPG-like, the simulated neural tiers of `easz-testbed`, and each of them
+//! enhanced with Easz — the qualitative content of the paper's Table II in one run.
 //!
 //! Rate targeting: plain rows search the codec's quality knob directly;
 //! `+easz` rows go through [`EaszEncoder::compress_to_bpp`], which charges
@@ -12,19 +12,25 @@
 //! cargo run --release --example codec_tour
 //! ```
 
-use easz::codecs::{
-    encode_to_bpp, BpgLikeCodec, ImageCodec, JpegLikeCodec, NeuralSimCodec, NeuralTier,
-};
+use easz::codecs::{encode_to_bpp, BpgLikeCodec, CodecRegistry, ImageCodec, JpegLikeCodec};
 use easz::core::{zoo, EaszConfig, EaszDecoder, EaszEncoder};
 use easz::data::Dataset;
 use easz::metrics::{brisque, psnr, ssim};
+use easz::testbed::{NeuralSimCodec, NeuralTier};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let image = Dataset::KodakLike.image(3).crop(64, 64, 256, 192);
     let target_bpp = 0.5;
     let model = zoo::pretrained(zoo::PretrainSpec::quick());
     let encoder = EaszEncoder::new(EaszConfig::default())?;
-    let decoder = EaszDecoder::new(&model);
+    // The simulated neural codecs live in `easz-testbed` and are not in the
+    // default registry a server decodes with; a caller that wants their
+    // containers decoded registers them.
+    let mut registry = CodecRegistry::with_defaults();
+    registry
+        .register(Box::new(NeuralSimCodec::new(NeuralTier::Mbt)))
+        .register(Box::new(NeuralSimCodec::new(NeuralTier::ChengAnchor)));
+    let decoder = EaszDecoder::with_registry(&model, registry);
 
     let jpeg = JpegLikeCodec::new();
     let bpg = BpgLikeCodec::new();

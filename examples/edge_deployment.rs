@@ -9,9 +9,8 @@
 //! cargo run --release --example edge_deployment
 //! ```
 
-use easz::codecs::NeuralTier;
 use easz::core::ReconstructorConfig;
-use easz::testbed::{DeviceModel, NetworkModel, Testbed, WorkloadProfile};
+use easz::testbed::{DeviceModel, NetworkModel, NeuralTier, Testbed, WorkloadProfile};
 
 fn main() {
     let pixels = 512 * 768;

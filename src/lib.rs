@@ -11,9 +11,9 @@
 //! |---|---|---|
 //! | [`core`] | `easz-core` | erase-and-squeeze, two-stage patchify, transformer reconstructor, training, pipeline |
 //! | [`server`] | `easz-server` | batched `.easz` decode server over TCP, framing protocol, blocking client |
-//! | [`codecs`] | `easz-codecs` | JPEG-like, BPG-like, simulated neural codecs, SR baselines, entropy coders |
+//! | [`codecs`] | `easz-codecs` | the served codecs (JPEG-like, BPG-like) and their registry, entropy coders |
 //! | [`metrics`] | `easz-metrics` | PSNR/SSIM/MS-SSIM, BRISQUE/NIQE/PI/TReS, LPIPS-sim |
-//! | [`testbed`] | `easz-testbed` | Jetson TX2 / server / Wi-Fi analytic models |
+//! | [`testbed`] | `easz-testbed` | everything simulated: Jetson TX2 / server / Wi-Fi analytic models, simulated neural codecs, SR baselines |
 //! | [`data`] | `easz-data` | synthetic CIFAR-like / Kodak-like / CLIC-like datasets |
 //! | [`image`] | `easz-image` | image containers, colour conversion, resampling, PPM I/O |
 //! | [`tensor`] | `easz-tensor` | autodiff + transformer-layer substrate |

@@ -2,22 +2,37 @@
 //! self-identifying, codecs reject each other's streams, and rate
 //! targeting lands near its goal across content types.
 
-use easz::codecs::{
-    encode_to_bpp, BpgLikeCodec, ImageCodec, JpegLikeCodec, NeuralSimCodec, NeuralTier, Quality,
-};
+use easz::codecs::{encode_to_bpp, BpgLikeCodec, ImageCodec, JpegLikeCodec, Quality};
 use easz::data::Dataset;
+use easz::testbed::{NeuralSimCodec, NeuralTier};
 
 #[test]
 fn codecs_reject_each_others_bitstreams() {
     let img = Dataset::KodakLike.image(2).crop(0, 0, 64, 64);
-    let jpeg = JpegLikeCodec::new();
-    let bpg = BpgLikeCodec::new();
-    let mbt = NeuralSimCodec::new(NeuralTier::Mbt);
-    let jpeg_bytes = jpeg.encode(&img, Quality::new(70)).expect("jpeg encode");
-    let bpg_bytes = bpg.encode(&img, Quality::new(70)).expect("bpg encode");
-    assert!(bpg.decode(&jpeg_bytes).is_err(), "bpg must reject jpeg streams");
-    assert!(jpeg.decode(&bpg_bytes).is_err(), "jpeg must reject bpg streams");
-    assert!(mbt.decode(&bpg_bytes).is_err(), "mbt must reject bpg streams");
+    let codecs: [Box<dyn ImageCodec>; 6] = [
+        Box::new(JpegLikeCodec::new()),
+        Box::new(BpgLikeCodec::new()),
+        Box::new(NeuralSimCodec::new(NeuralTier::BalleFactorized)),
+        Box::new(NeuralSimCodec::new(NeuralTier::BalleHyperprior)),
+        Box::new(NeuralSimCodec::new(NeuralTier::Mbt)),
+        Box::new(NeuralSimCodec::new(NeuralTier::ChengAnchor)),
+    ];
+    for producer in &codecs {
+        let bytes = producer.encode(&img, Quality::new(70)).expect("encode");
+        for reader in &codecs {
+            let decoded = reader.decode(&bytes);
+            if reader.id() == producer.id() {
+                assert!(decoded.is_ok(), "{} must read its own stream", reader.name());
+            } else {
+                assert!(
+                    decoded.is_err(),
+                    "{} must reject {} streams",
+                    reader.name(),
+                    producer.name()
+                );
+            }
+        }
+    }
 }
 
 #[test]

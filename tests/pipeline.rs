@@ -3,10 +3,11 @@
 
 mod common;
 
-use easz::codecs::{BpgLikeCodec, ImageCodec, JpegLikeCodec, NeuralSimCodec, NeuralTier, Quality};
+use easz::codecs::{BpgLikeCodec, CodecRegistry, ImageCodec, JpegLikeCodec, Quality};
 use easz::core::{EaszConfig, EaszDecoder, EaszEncoder, FillMethod, MaskStrategy, Orientation};
 use easz::data::Dataset;
 use easz::metrics::{mse, psnr};
+use easz::testbed::{NeuralSimCodec, NeuralTier};
 
 fn test_image() -> easz::image::ImageF32 {
     Dataset::KodakLike.image(42).crop(96, 96, 128, 96)
@@ -20,7 +21,12 @@ fn default_encoder() -> EaszEncoder {
 fn pipeline_round_trips_across_all_codecs() {
     let model = common::quick_model();
     let encoder = default_encoder();
-    let decoder = EaszDecoder::new(&model);
+    // The simulated codecs are not served by default; register them.
+    let mut registry = CodecRegistry::with_defaults();
+    registry
+        .register(Box::new(NeuralSimCodec::new(NeuralTier::Mbt)))
+        .register(Box::new(NeuralSimCodec::new(NeuralTier::ChengAnchor)));
+    let decoder = EaszDecoder::with_registry(&model, registry);
     let img = test_image();
     let jpeg = JpegLikeCodec::new();
     let bpg = BpgLikeCodec::new();

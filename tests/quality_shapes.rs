@@ -1,16 +1,15 @@
 //! Integration-level checks of the *shape* claims the paper's evaluation
 //! rests on: codec quality tiers, metric reactions, and the SR comparison.
 
-use easz::codecs::sr::{EnhancedUpscaler, Upscaler};
-use easz::codecs::{
-    encode_to_bpp, BpgLikeCodec, ImageCodec, JpegLikeCodec, NeuralSimCodec, NeuralTier, Quality,
-};
+use easz::codecs::{encode_to_bpp, BpgLikeCodec, ImageCodec, JpegLikeCodec, Quality};
 mod common;
 
 use easz::core::{EaszConfig, EaszDecoder, EaszEncoder};
 use easz::data::Dataset;
 use easz::image::resample::downsample2;
 use easz::metrics::{brisque, ms_ssim, psnr};
+use easz::testbed::sr::{EnhancedUpscaler, Upscaler};
+use easz::testbed::{NeuralSimCodec, NeuralTier};
 
 fn scene() -> easz::image::ImageF32 {
     Dataset::KodakLike.image(55).crop(64, 64, 192, 128)

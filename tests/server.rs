@@ -3,7 +3,7 @@
 //! frames without killing the server, and concurrent clients must decode
 //! byte-identically to a serial one.
 
-use easz::codecs::{JpegLikeCodec, Quality};
+use easz::codecs::{CodecId, JpegLikeCodec, Quality};
 use easz::core::{
     EaszConfig, EaszDecoder, EaszEncoded, EaszEncoder, Reconstructor, ReconstructorConfig,
 };
@@ -85,6 +85,19 @@ fn malformed_containers_are_typed_errors_not_connection_deaths() {
     match client.decode(&foreign) {
         Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::GeometryMismatch),
         other => panic!("expected GeometryMismatch, got {other:?}"),
+    }
+    // A genuine container naming a reserved simulated codec (header byte
+    // 5): those ids are not in the default registry, so the codec is
+    // unknown — a typed error, not a decode under the wrong codec.
+    for id in
+        [CodecId::BALLE_FACTORIZED, CodecId::BALLE_HYPERPRIOR, CodecId::MBT, CodecId::CHENG_ANCHOR]
+    {
+        let mut renamed = good.clone();
+        renamed[5] = id.value();
+        match client.decode(&renamed) {
+            Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::UnknownCodec, "{id}"),
+            other => panic!("{id}: expected UnknownCodec, got {other:?}"),
+        }
     }
     // The same connection still decodes fine afterwards.
     assert!(client.decode(&good).is_ok(), "connection must survive typed errors");

@@ -2,10 +2,10 @@
 //! payload sizes feed the network model, breakdowns stay self-consistent,
 //! and the paper's headline systems ratios hold end to end.
 
-use easz::codecs::{encode_with, JpegLikeCodec, NeuralTier, Quality};
+use easz::codecs::{encode_with, JpegLikeCodec, Quality};
 use easz::core::ReconstructorConfig;
 use easz::data::Dataset;
-use easz::testbed::{DeviceModel, NetworkModel, Testbed, WorkloadProfile};
+use easz::testbed::{DeviceModel, NetworkModel, NeuralTier, Testbed, WorkloadProfile};
 
 #[test]
 fn real_payload_drives_transmit_time() {
