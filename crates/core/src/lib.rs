@@ -90,4 +90,4 @@ pub use patchify::{
 pub use plan::{BatchMaps, DecodePlan, MultiMaskPlan};
 pub use squeeze::{pixel_saving_ratio, squeeze_patch, unsqueeze_patch, FillMethod, Orientation};
 pub use stagetrace::{DecodeStage, StageSink, DECODE_STAGES};
-pub use train::{erased_region_mse, ParallelTrainer, TrainConfig, Trainer};
+pub use train::{erased_region_mse, TrainConfig, Trainer};

@@ -9,7 +9,7 @@
 //! under `target/easz-weights/`, everyone else loads.
 
 use crate::model::{Reconstructor, ReconstructorConfig};
-use crate::train::{ParallelTrainer, TrainConfig, Trainer};
+use crate::train::{TrainConfig, Trainer};
 use easz_data::Dataset;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -82,14 +82,15 @@ fn registry() -> &'static Mutex<HashMap<String, Arc<Reconstructor>>> {
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Returns the pretrained model for `spec`, training it (once) on the
-/// synthetic CIFAR-like corpus if no cached weights exist.
-///
-/// The returned model is shared; training happens at most once per spec per
-/// machine (in-memory registry + on-disk cache).
-pub fn pretrained(spec: PretrainSpec) -> Arc<Reconstructor> {
-    let key = spec.key();
-    // The lock is held across the build on purpose: pretraining takes
+/// Returns the model cached under `key`: from the in-memory registry, else
+/// from the weight file, else built by `train` from a fresh `config` model
+/// and then written to the weight file.
+fn cached(
+    key: String,
+    config: ReconstructorConfig,
+    train: impl FnOnce(Reconstructor) -> Reconstructor,
+) -> Arc<Reconstructor> {
+    // The lock is held across the build on purpose: training takes
     // minutes, so concurrent first callers (parallel test threads) must
     // block on the winner rather than each redundantly retraining and
     // racing writes to the same cache file.
@@ -98,13 +99,9 @@ pub fn pretrained(spec: PretrainSpec) -> Arc<Reconstructor> {
         return model.clone();
     }
     let path = cache_dir().join(format!("{key}.bin"));
-    let mut model = Reconstructor::new(spec.model);
-    let loaded = easz_tensor::load_params_file(model.params_mut(), &path).is_ok();
-    if !loaded {
-        let corpus = Dataset::CifarLike.images(spec.corpus);
-        let mut trainer = Trainer::new(model, spec.train);
-        trainer.train(&corpus, spec.steps);
-        model = trainer.into_model();
+    let mut model = Reconstructor::new(config);
+    if easz_tensor::load_params_file(model.params_mut(), &path).is_err() {
+        model = train(model);
         // Write-then-rename so a concurrent process never reads a torn file.
         let tmp = path.with_extension("bin.tmp");
         let saved = easz_tensor::save_params_file(model.params(), &tmp)
@@ -118,6 +115,20 @@ pub fn pretrained(spec: PretrainSpec) -> Arc<Reconstructor> {
     let arc = Arc::new(model);
     reg.insert(key, arc.clone());
     arc
+}
+
+/// Returns the pretrained model for `spec`, training it (once) on the
+/// synthetic CIFAR-like corpus if no cached weights exist.
+///
+/// The returned model is shared; training happens at most once per spec per
+/// machine (in-memory registry + on-disk cache).
+pub fn pretrained(spec: PretrainSpec) -> Arc<Reconstructor> {
+    cached(spec.key(), spec.model, |model| {
+        let corpus = Dataset::CifarLike.images(spec.corpus);
+        let mut trainer = Trainer::new(model, spec.train);
+        trainer.train(&corpus, spec.steps);
+        trainer.into_model()
+    })
 }
 
 /// A fine-tuning domain the zoo serves a specialised model for.
@@ -183,8 +194,8 @@ pub struct FinetuneSpec {
     /// Number of domain corpus images.
     pub corpus: usize,
     /// Gradient shards per step — part of the recipe, not a performance
-    /// knob (see [`ParallelTrainer`]); the worker count that carries them
-    /// is free to vary without changing a bit of the result.
+    /// knob (see [`Trainer::sharded`]); the worker count that carries them
+    /// is the tensor pool's and never changes a bit of the result.
     pub shards: usize,
 }
 
@@ -209,7 +220,7 @@ impl FinetuneSpec {
 }
 
 /// Returns the domain fine-tuned model for `spec`, training it (once) with
-/// the data-parallel trainer if no cached weights exist.
+/// a [`Trainer::sharded`] over `spec.shards` if no cached weights exist.
 ///
 /// Like [`pretrained`], the result is shared per process and cached on disk
 /// per machine; the result is bit-identical for any worker count, so the
@@ -218,15 +229,7 @@ pub fn finetuned(spec: FinetuneSpec) -> Arc<Reconstructor> {
     // Resolve the base BEFORE taking the registry lock: `pretrained` takes
     // the same (non-reentrant) lock, and a cold base may train for minutes.
     let base = pretrained(spec.base);
-    let key = spec.key();
-    let mut reg = registry().lock().expect("zoo registry poisoned");
-    if let Some(model) = reg.get(&key) {
-        return model.clone();
-    }
-    let path = cache_dir().join(format!("{key}.bin"));
-    let mut model = Reconstructor::new(spec.base.model);
-    let loaded = easz_tensor::load_params_file(model.params_mut(), &path).is_ok();
-    if !loaded {
+    cached(spec.key(), spec.base.model, |mut model| {
         // Seed the fresh model with the base weights (Reconstructor is not
         // Clone; an in-memory weights round-trip is exact).
         let mut buf = Vec::new();
@@ -234,20 +237,10 @@ pub fn finetuned(spec: FinetuneSpec) -> Arc<Reconstructor> {
         easz_tensor::load_params(model.params_mut(), buf.as_slice())
             .expect("in-memory weight load");
         let corpus = spec.domain.dataset().images(spec.corpus);
-        let mut trainer = ParallelTrainer::new(model, spec.base.train, spec.shards);
+        let mut trainer = Trainer::sharded(model, spec.base.train, spec.shards);
         trainer.finetune(&corpus, spec.steps);
-        model = trainer.into_model();
-        let tmp = path.with_extension("bin.tmp");
-        let saved = easz_tensor::save_params_file(model.params(), &tmp)
-            .map_err(|e| e.to_string())
-            .and_then(|()| std::fs::rename(&tmp, &path).map_err(|e| e.to_string()));
-        if let Err(err) = saved {
-            eprintln!("warning: could not cache weights at {}: {err}", path.display());
-        }
-    }
-    let arc = Arc::new(model);
-    reg.insert(key, arc.clone());
-    arc
+        trainer.into_model()
+    })
 }
 
 /// The reconstructors a decode server serves, keyed by the wire model id

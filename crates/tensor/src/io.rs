@@ -59,11 +59,13 @@ impl From<std::io::Error> for WeightsError {
     }
 }
 
-/// Serialises all parameters of `params` to `writer`.
+/// Serialises all parameters of `params` to `writer`, then flushes it.
 ///
 /// # Errors
 ///
-/// Returns [`WeightsError::Io`] on write failure.
+/// Returns [`WeightsError::Io`] on write or flush failure. The flush is
+/// what surfaces a failure a buffered writer would otherwise only meet in
+/// its `Drop`, which discards errors.
 pub fn save_params<W: Write>(params: &ParamSet, mut writer: W) -> Result<(), WeightsError> {
     writer.write_all(MAGIC)?;
     writer.write_all(&(params.len() as u32).to_le_bytes())?;
@@ -80,6 +82,7 @@ pub fn save_params<W: Write>(params: &ParamSet, mut writer: W) -> Result<(), Wei
             writer.write_all(&v.to_le_bytes())?;
         }
     }
+    writer.flush()?;
     Ok(())
 }
 
@@ -219,6 +222,36 @@ mod tests {
         for id in p.ids() {
             assert_eq!(p.value(id), q.value(id), "tensor {}", p.name(id));
         }
+    }
+
+    /// Fails every flush, and every write too when `fail_writes` is set.
+    struct FailingSink {
+        fail_writes: bool,
+    }
+
+    impl Write for FailingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.fail_writes {
+                return Err(std::io::Error::other("disk full"));
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn a_failed_flush_fails_the_save() {
+        let p = sample_params();
+        let err = save_params(&p, FailingSink { fail_writes: false }).unwrap_err();
+        assert!(matches!(err, WeightsError::Io(_)), "{err}");
+        // The `save_params_file` shape: a buffered writer holds the whole
+        // (small) file, so the failing write only happens at the flush.
+        let sink = std::io::BufWriter::new(FailingSink { fail_writes: true });
+        let err = save_params(&p, sink).unwrap_err();
+        assert!(matches!(err, WeightsError::Io(_)), "{err}");
     }
 
     #[test]
