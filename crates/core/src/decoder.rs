@@ -12,16 +12,20 @@
 //! un-squeeze) and *finish* (scatter predictions, feather, grain, assemble)
 //! are per-container, while the forward in between operates on one
 //! [`TokenBatch`]. [`EaszDecoder::decode_batch`] exploits this by
-//! concatenating the patches of every container that shares an effective
-//! mask into a single batch, issuing **one forward per mask group** instead
-//! of one per container, with bit-identical results (attention is confined
-//! within each patch, and every remaining op is row-wise).
+//! concatenating the patches of every container served by the same model,
+//! on the same tier and with the same kept-token count into a single
+//! batch, issuing **one forward per group** instead of one per container,
+//! with bit-identical results (attention is confined within each patch,
+//! and every remaining op is row-wise). That forward predicts only the
+//! erased positions ([`Reconstructor::infer_erased`]): the kept ones come
+//! from the inner codec, so the last decoder block and the output
+//! projection never run on them.
 
 use crate::container::EaszEncoded;
 use crate::error::EaszError;
 use crate::mask::EraseMask;
 use crate::model::{Reconstructor, TokenBatch};
-use crate::patchify::{patch_tokens, place_token, PatchGeometry, Patchified};
+use crate::patchify::{place_token, PatchGeometry, Patchified};
 use crate::plan::{ArenaPool, DecodePlan, MultiMaskPlan, PlanCache};
 use crate::squeeze::{unsqueeze_patch, FillMethod, Orientation};
 use easz_codecs::{CodecRegistry, ImageCodec};
@@ -335,8 +339,9 @@ impl<'m> EaszDecoder<'m> {
             // batch.
             let engine = engines[group[0]];
             let slot = model_slots[group[0]].expect("grouped streams have a model");
+            let (_, kept, _) = fusion_keys[group[0]].expect("grouped streams have a key");
+            let erased = slot.model.config().seq_len() - kept;
             let mut members: Vec<(usize, PreparedStream)> = Vec::with_capacity(group.len());
-            let mut tokens: Vec<Vec<Vec<f32>>> = Vec::new();
             for i in group {
                 let (wire_mask, mask) = masks[i].take().expect("grouped streams have masks");
                 let result = self
@@ -345,11 +350,7 @@ impl<'m> EaszDecoder<'m> {
                     .ok_or(EaszError::UnknownCodec(encoded[i].codec_id))
                     .and_then(|codec| self.prepare(&encoded[i], codec, wire_mask, mask));
                 match result {
-                    Ok(p) => {
-                        tokens
-                            .extend(p.patches.iter().map(|patch| patch_tokens(patch, p.geometry)));
-                        members.push((i, p));
-                    }
+                    Ok(p) => members.push((i, p)),
                     Err(error) => out[i] = Some(Err(error)),
                 }
             }
@@ -357,14 +358,25 @@ impl<'m> EaszDecoder<'m> {
                 continue;
             }
             group_stats.push((slot.id, members.len()));
-            // One transformer forward for the whole group. The plan stage
-            // picks the row view: a uniform-mask group keeps its cached
-            // plan's broadcast positional rows, a mixed-mask group fuses
-            // through a MultiMaskPlan. Everything this block builds, the
-            // token batch included, is dropped before finish allocates the
-            // output images.
-            let recon = {
-                let batch = TokenBatch::from_patches(&tokens);
+            // One transformer forward for the whole group, predicting its
+            // erased rows only; a group whose masks erase nothing has none
+            // to predict. The plan stage picks the row view: a uniform-mask
+            // group keeps its cached plan's broadcast positional rows, a
+            // mixed-mask group fuses through a MultiMaskPlan. Everything
+            // this block builds, the token batch included, is dropped
+            // before finish allocates the output images.
+            let recon = if erased == 0 {
+                Vec::new()
+            } else {
+                let geometry = slot.model.config().geometry();
+                let channels = slot.model.config().channels();
+                let patches = members.iter().map(|(_, p)| p.patches.len()).sum();
+                let batch = TokenBatch::from_image_patches(
+                    members.iter().flat_map(|(_, p)| &p.patches),
+                    patches,
+                    geometry,
+                    channels,
+                );
                 let t = self.stage_start();
                 let (uniform, plans, streams, fused);
                 let rows = if members.iter().all(|(_, p)| p.mask == members[0].1.mask) {
@@ -386,17 +398,18 @@ impl<'m> EaszDecoder<'m> {
                 self.stage_end(t, crate::DecodeStage::Plan);
                 let mut arena = self.arenas.take();
                 let t = self.stage_start();
-                let recon = slot.model.infer(&batch, rows, &mut arena, engine);
+                let recon = slot.model.infer_erased(&batch, rows, &mut arena, engine);
                 self.stage_end(t, crate::DecodeStage::Forward);
                 self.arenas.put(arena);
                 recon
             };
+            let per_patch = erased * slot.model.config().token_dim();
             let mut offset = 0usize;
             let t = self.stage_start();
             for (i, p) in members {
-                let count = p.patches.len();
-                out[i] = Some(Ok(finish(p, &recon[offset..offset + count])));
-                offset += count;
+                let len = p.patches.len() * per_patch;
+                out[i] = Some(Ok(finish(p, &recon[offset..offset + len])));
+                offset += len;
             }
             self.stage_end(t, crate::DecodeStage::Finish);
         }
@@ -545,15 +558,18 @@ struct PreparedStream {
 
 /// Stage 2 of decoding: scatter the model's predicted tokens into the
 /// erased slots of each patch, run the perceptual post-passes and assemble
-/// the canvas. `recon` holds one prediction list per patch, in patch order.
-fn finish(mut prepared: PreparedStream, recon: &[Vec<Vec<f32>>]) -> ImageF32 {
+/// the canvas. `recon` holds the predictions of the erased slots only, as
+/// [`Reconstructor::infer_erased`] returns them: one token row per erased
+/// slot, patch after patch, and by erased rank (raster order) within a
+/// patch.
+fn finish(mut prepared: PreparedStream, recon: &[f32]) -> ImageF32 {
     let geometry = prepared.geometry;
-    let grid = geometry.grid();
+    let mut predictions = recon.chunks_exact(geometry.token_dim(prepared.channels));
     for (pi, patch) in prepared.patches.iter_mut().enumerate() {
         for (row, col, erased) in prepared.mask.iter() {
             if erased {
-                let s = row * grid + col;
-                place_token(patch, geometry, row, col, &recon[pi][s]);
+                let token = predictions.next().expect("one prediction per erased slot");
+                place_token(patch, geometry, row, col, token);
             }
         }
         feather_erased_boundaries(patch, geometry, &prepared.mask);

@@ -5,15 +5,16 @@
 //! sees only the un-erased sub-patch tokens; the **decoder** (two blocks)
 //! sees the encoder features scattered back to their grid positions plus a
 //! shared learned mask token in each erased slot, and predicts pixel values
-//! for every position. One model serves *every* erase ratio — the paper's
-//! key flexibility claim — because the mask enters only through the token
-//! scatter, never through the weights.
+//! for every position (the served decode asks only for the erased ones; see
+//! [`Reconstructor::infer_erased`]). One model serves *every* erase ratio —
+//! the paper's key flexibility claim — because the mask enters only through
+//! the token scatter, never through the weights.
 
 use crate::decoder::DecodeEngine;
 use crate::mask::EraseMask;
 use crate::patchify::PatchGeometry;
 use crate::plan::{DecodePlan, MultiMaskPlan, RowMaps};
-use easz_image::Channels;
+use easz_image::{Channels, ImageF32};
 use easz_tensor::nn::Executor;
 use easz_tensor::{
     init, nn, Graph, InferenceSession, ParamSet, QuantizedParams, ScratchArena, Tensor, Var,
@@ -163,11 +164,54 @@ impl TokenBatch {
             tokens: Tensor::from_vec(data, &[patches.len() * seq, dim]),
         }
     }
+
+    /// Builds a batch straight from `count` whole patches: the same values
+    /// as [`from_patches`](Self::from_patches) over each patch's
+    /// [`patch_tokens`](crate::patch_tokens), without a `Vec` per token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `patches` does not yield `count` patches of `geometry`'s
+    /// size in `channels`.
+    pub(crate) fn from_image_patches<'a>(
+        patches: impl IntoIterator<Item = &'a ImageF32>,
+        count: usize,
+        geometry: PatchGeometry,
+        channels: Channels,
+    ) -> Self {
+        let (n, b, grid) = (geometry.n, geometry.b, geometry.grid());
+        let (seq, dim) = (geometry.tokens_per_patch(), geometry.token_dim(channels));
+        let cc = channels.count();
+        // One sub-patch row: `b` pixels of interleaved channels.
+        let run = b * cc;
+        let mut data = Vec::with_capacity(count * seq * dim);
+        for patch in patches {
+            assert_eq!((patch.width(), patch.height()), (n, n), "patch size");
+            assert_eq!(patch.channels(), channels, "patch channels");
+            let pixels = patch.data();
+            for row in 0..grid {
+                for col in 0..grid {
+                    for dy in 0..b {
+                        let at = ((row * b + dy) * n + col * b) * cc;
+                        data.extend(pixels[at..at + run].iter().map(|&v| v - 0.5));
+                    }
+                }
+            }
+        }
+        assert_eq!(data.len(), count * seq * dim, "patch count");
+        Self { batch: count, seq, tokens: Tensor::from_vec(data, &[count * seq, dim]) }
+    }
 }
 
 impl Reconstructor {
     /// Builds a model with fresh (seeded) weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has no decoder block: the served decode restricts
+    /// the last one to the erased rows.
     pub fn new(cfg: ReconstructorConfig) -> Self {
+        assert!(cfg.decoder_blocks > 0, "the reconstructor needs a decoder block");
         let mut params = ParamSet::new();
         let mut rng = init::rng(cfg.seed);
         let d = cfg.d_model;
@@ -269,12 +313,22 @@ impl Reconstructor {
     pub fn forward(&self, g: &mut Graph<'_>, batch: &TokenBatch, mask: &EraseMask) -> Var {
         assert_eq!(mask.n_grid() * mask.n_grid(), batch.seq, "mask size mismatch");
         let plan = DecodePlan::new(mask);
-        self.run(g, batch, plan.rows(&plan.maps_for(batch.batch)))
+        self.run(g, batch, plan.rows(&plan.maps_for(batch.batch)), None)
     }
 
     /// The transformer forward, written once for every executor: encoder
-    /// over the kept tokens, decoder over the composed sequence.
-    fn run<E: Executor>(&self, e: &mut E, batch: &TokenBatch, rows: RowMaps<'_>) -> E::Value {
+    /// over the kept tokens, decoder over the composed sequence. With
+    /// `out_rows = None` it predicts every row, `[batch * seq, token_dim]`;
+    /// with `Some(rows)` (the same count per patch) the last decoder block
+    /// queries only those rows and the result is `[rows.len(), token_dim]`,
+    /// each row bit-equal to its row of the full prediction.
+    fn run<E: Executor>(
+        &self,
+        e: &mut E,
+        batch: &TokenBatch,
+        rows: RowMaps<'_>,
+        out_rows: Option<&[usize]>,
+    ) -> E::Value {
         let (bsz, seq) = (batch.batch, batch.seq);
         assert_eq!(seq, self.cfg.seq_len(), "sequence length mismatch");
         assert_eq!(rows.compose.len(), bsz * seq, "plan does not match the batch");
@@ -290,14 +344,15 @@ impl Reconstructor {
         let pos = e.gather_param(self.enc_pos, rows.pos_rows);
         let mut x = e.add_rows(x, pos);
         for block in &self.enc_blocks {
-            x = block.forward(e, x, bsz, m);
+            x = block.forward(e, x, bsz, m, None);
         }
 
         // --- Decoder input: scatter encoder features + mask tokens. ---
         let y = e.compose_tokens(x, self.mask_token, rows.compose);
         let mut y = e.add_param_rows(y, self.dec_pos);
-        for block in &self.dec_blocks {
-            y = block.forward(e, y, bsz, seq);
+        let last = self.dec_blocks.len() - 1;
+        for (i, block) in self.dec_blocks.iter().enumerate() {
+            y = block.forward(e, y, bsz, seq, if i == last { out_rows } else { None });
         }
         let out = self.out_proj.forward(e, &y);
         e.free(y);
@@ -305,32 +360,78 @@ impl Reconstructor {
     }
 
     /// The forward on the tape-free engine over `arena`, on `engine`'s
-    /// numeric tier; returns per patch, per grid position, the predicted
-    /// token values in `[0, 1]`.
-    pub(crate) fn infer(
+    /// numeric tier, predicting `out_rows` (every row if `None`); `read`
+    /// receives the centred predictions before the arena takes them back.
+    fn infer<T>(
         &self,
         batch: &TokenBatch,
         rows: RowMaps<'_>,
+        out_rows: Option<&[usize]>,
         arena: &mut ScratchArena,
         engine: DecodeEngine,
-    ) -> Vec<Vec<Vec<f32>>> {
+        read: impl FnOnce(&[f32]) -> T,
+    ) -> T {
         let mut s = match engine {
             DecodeEngine::TapeFree => InferenceSession::new(&self.params, arena),
             DecodeEngine::QuantizedInt8 => {
                 InferenceSession::with_quantized(&self.params, self.quantized_params(), arena)
             }
         };
-        let out = self.run(&mut s, batch, rows);
-        let tokens = to_patches(out.data(), batch.seq, self.cfg.token_dim());
+        let out = self.run(&mut s, batch, rows, out_rows);
+        let result = read(out.data());
         s.free(out);
-        tokens
+        result
     }
 
-    /// Convenience inference: reconstructs the erased tokens of a batch.
+    /// The full-row forward: per patch, per grid position, the predicted
+    /// token values in `[0, 1]`.
+    fn infer_all(
+        &self,
+        batch: &TokenBatch,
+        rows: RowMaps<'_>,
+        arena: &mut ScratchArena,
+        engine: DecodeEngine,
+    ) -> Vec<Vec<Vec<f32>>> {
+        let dim = self.cfg.token_dim();
+        self.infer(batch, rows, None, arena, engine, |out| to_patches(out, batch.seq, dim))
+    }
+
+    /// The served decode's forward: predicts only the erased rows of
+    /// `rows` (its plan's erased positions) on `engine`'s tier, over
+    /// `arena`.
+    ///
+    /// The last decoder block queries only those rows (its keys and values
+    /// still cover every row), and the output projection runs on them
+    /// alone. Every op there is row-wise or per query row, so each
+    /// prediction is bit-equal to its row of the full-row forward
+    /// ([`infer_tokens`](Self::infer_tokens) and siblings) on either tier.
+    ///
+    /// Returns one buffer of `token_dim`-wide rows with values in
+    /// `[0, 1]`: patch after patch, and within a patch the erased positions
+    /// in raster order. Empty if the mask erases nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch geometry does not match the model or `rows`
+    /// was built for a different batch.
+    pub fn infer_erased(
+        &self,
+        batch: &TokenBatch,
+        rows: RowMaps<'_>,
+        arena: &mut ScratchArena,
+        engine: DecodeEngine,
+    ) -> Vec<f32> {
+        self.infer(batch, rows, Some(rows.erased_rows), arena, engine, |out| {
+            out.iter().map(|&v| decentre(v)).collect()
+        })
+    }
+
+    /// Convenience inference: the full-row forward of a batch.
     ///
     /// Returns, per patch, per grid position, the predicted token values in
-    /// `[0, 1]` (kept positions return the model's re-prediction, which the
-    /// pipeline discards in favour of the decoded pixels).
+    /// `[0, 1]`. Kept positions get the model's re-prediction too; the
+    /// served decode ([`EaszDecoder`](crate::EaszDecoder), through
+    /// [`infer_erased`](Self::infer_erased)) does not compute those.
     ///
     /// Runs on the tape-free engine with a throwaway plan and arena; hot
     /// paths that decode many containers should build a [`DecodePlan`] (or
@@ -378,7 +479,8 @@ impl Reconstructor {
         plan: &DecodePlan,
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
-        self.infer(batch, plan.rows(&plan.maps_for(batch.batch)), arena, DecodeEngine::TapeFree)
+        let maps = plan.maps_for(batch.batch);
+        self.infer_all(batch, plan.rows(&maps), arena, DecodeEngine::TapeFree)
     }
 
     /// [`infer_tokens`](Self::infer_tokens) on the quantized int8 tier:
@@ -393,7 +495,7 @@ impl Reconstructor {
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
         let maps = plan.maps_for(batch.batch);
-        self.infer(batch, plan.rows(&maps), arena, DecodeEngine::QuantizedInt8)
+        self.infer_all(batch, plan.rows(&maps), arena, DecodeEngine::QuantizedInt8)
     }
 
     /// The tape-free forward for a **mixed-mask** batch: patches that share
@@ -421,7 +523,7 @@ impl Reconstructor {
         plan: &MultiMaskPlan,
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
-        self.infer(batch, plan.rows(), arena, DecodeEngine::TapeFree)
+        self.infer_all(batch, plan.rows(), arena, DecodeEngine::TapeFree)
     }
 
     /// [`infer_tokens_multi`](Self::infer_tokens_multi) on the quantized
@@ -435,7 +537,7 @@ impl Reconstructor {
         plan: &MultiMaskPlan,
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
-        self.infer(batch, plan.rows(), arena, DecodeEngine::QuantizedInt8)
+        self.infer_all(batch, plan.rows(), arena, DecodeEngine::QuantizedInt8)
     }
 
     /// Builds the paper's training loss (Eq. 2): `L1 + λ · perceptual` where
@@ -471,15 +573,17 @@ impl Reconstructor {
     }
 }
 
+/// A centred prediction back in `[0, 1]`.
+fn decentre(v: f32) -> f32 {
+    (v + 0.5).clamp(0.0, 1.0)
+}
+
 /// Splits `[batch * seq, dim]` centred predictions into per-patch token
 /// lists with values back in `[0, 1]`.
 fn to_patches(out: &[f32], seq: usize, dim: usize) -> Vec<Vec<Vec<f32>>> {
     out.chunks_exact(seq * dim)
         .map(|patch| {
-            patch
-                .chunks_exact(dim)
-                .map(|row| row.iter().map(|&v| (v + 0.5).clamp(0.0, 1.0)).collect())
-                .collect()
+            patch.chunks_exact(dim).map(|row| row.iter().map(|&v| decentre(v)).collect()).collect()
         })
         .collect()
 }
@@ -647,6 +751,29 @@ mod tests {
         }
         // DC weight is the largest.
         assert!(w[0] >= w.iter().fold(0.0f32, |a, &b| a.max(b)) - 1e-9);
+    }
+
+    #[test]
+    fn image_patch_batch_matches_token_list_batch_bitwise() {
+        let cfg = small_cfg();
+        let geometry = cfg.geometry();
+        let patches: Vec<ImageF32> = (0..3)
+            .map(|k| {
+                let mut img = ImageF32::new(cfg.n, cfg.n, Channels::Rgb);
+                for (i, v) in img.data_mut().iter_mut().enumerate() {
+                    *v = ((i * 37 + k * 11) % 101) as f32 / 100.0;
+                }
+                img
+            })
+            .collect();
+        let lists: Vec<Vec<Vec<f32>>> =
+            patches.iter().map(|p| crate::patchify::patch_tokens(p, geometry)).collect();
+        let expect = TokenBatch::from_patches(&lists);
+        let got = TokenBatch::from_image_patches(&patches, 3, geometry, Channels::Rgb);
+        assert_eq!((got.batch, got.seq), (expect.batch, expect.seq));
+        assert_eq!(got.tokens.shape(), expect.tokens.shape());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.tokens), bits(&expect.tokens));
     }
 
     #[test]

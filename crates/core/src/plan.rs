@@ -31,6 +31,9 @@ pub struct DecodePlan {
     seq: usize,
     /// Kept grid positions in raster order.
     kept: Vec<usize>,
+    /// Erased grid positions in raster order: the rows a served decode
+    /// predicts.
+    erased: Vec<usize>,
     /// `rank_of[p]` = rank of position `p` among kept positions, `None` if
     /// erased. Replaces per-position binary search when building scatter
     /// maps.
@@ -50,6 +53,10 @@ pub struct BatchMaps {
     /// Decoder compose map: `Some(row)` scatters encoder output row `row`,
     /// `None` fills the learned mask token.
     pub compose: Vec<Option<usize>>,
+    /// For each batch element, the row indices of its erased tokens inside
+    /// the `[batch * seq, dim]` token matrix: the rows a served decode
+    /// predicts.
+    pub erased_rows: Vec<usize>,
 }
 
 impl DecodePlan {
@@ -67,15 +74,16 @@ impl DecodePlan {
     pub fn new(mask: &EraseMask) -> Self {
         let n = mask.n_grid();
         let seq = n * n;
-        // Positions kept by the mask, in grid-raster order (ascending).
-        let kept: Vec<usize> =
-            mask.iter().filter_map(|(r, c, erased)| (!erased).then_some(r * n + c)).collect();
+        // Positions kept and erased by the mask, in grid-raster order
+        // (ascending).
+        let (erased, kept): (Vec<usize>, Vec<usize>) =
+            (0..seq).partition(|&p| mask.is_erased(p / n, p % n));
         assert!(!kept.is_empty(), "mask erases everything");
         let mut rank_of = vec![None; seq];
         for (rank, &p) in kept.iter().enumerate() {
             rank_of[p] = Some(rank);
         }
-        Self { seq, kept, rank_of, maps: Mutex::new(Vec::new()) }
+        Self { seq, kept, erased, rank_of, maps: Mutex::new(Vec::new()) }
     }
 
     /// Tokens per patch this plan was built for.
@@ -86,6 +94,11 @@ impl DecodePlan {
     /// Kept grid positions, ascending.
     pub fn kept(&self) -> &[usize] {
         &self.kept
+    }
+
+    /// Erased grid positions, ascending.
+    pub fn erased(&self) -> &[usize] {
+        &self.erased
     }
 
     /// Rank of a kept position among the kept set (`None` if erased).
@@ -110,8 +123,13 @@ impl DecodePlan {
     /// The row view of a forward over `maps` (built by this plan): the
     /// encoder's positional rows are the kept positions, one `[m, d]` block
     /// broadcast over the batch.
-    pub(crate) fn rows<'a>(&'a self, maps: &'a BatchMaps) -> RowMaps<'a> {
-        RowMaps { kept_rows: &maps.kept_rows, pos_rows: &self.kept, compose: &maps.compose }
+    pub fn rows<'a>(&'a self, maps: &'a BatchMaps) -> RowMaps<'a> {
+        RowMaps {
+            kept_rows: &maps.kept_rows,
+            pos_rows: &self.kept,
+            compose: &maps.compose,
+            erased_rows: &maps.erased_rows,
+        }
     }
 
     fn build_maps(&self, bsz: usize) -> BatchMaps {
@@ -124,7 +142,9 @@ impl DecodePlan {
                 compose.push(self.rank_of[p].map(|rank| bi * m + rank));
             }
         }
-        BatchMaps { kept_rows, compose }
+        let erased_rows =
+            (0..bsz).flat_map(|bi| self.erased.iter().map(move |&p| bi * self.seq + p)).collect();
+        BatchMaps { kept_rows, compose, erased_rows }
     }
 }
 
@@ -160,6 +180,9 @@ pub struct MultiMaskPlan {
     /// Decoder compose map: `Some(row)` scatters encoder output row `row`,
     /// `None` fills the learned mask token.
     compose: Vec<Option<usize>>,
+    /// Per patch, the row indices of its erased tokens inside the
+    /// `[patches * seq, dim]` token matrix.
+    erased_rows: Vec<usize>,
 }
 
 impl MultiMaskPlan {
@@ -181,6 +204,7 @@ impl MultiMaskPlan {
         let mut kept_rows = Vec::with_capacity(patches * m);
         let mut pos_rows = Vec::with_capacity(patches * m);
         let mut compose = Vec::with_capacity(patches * seq);
+        let mut erased_rows = Vec::with_capacity(patches * (seq - m));
         let mut pi = 0usize;
         for (plan, count) in streams {
             assert_eq!(plan.seq(), seq, "multi-mask plan mixes grid sizes");
@@ -194,10 +218,11 @@ impl MultiMaskPlan {
                 kept_rows.extend(plan.kept().iter().map(|&p| pi * seq + p));
                 pos_rows.extend_from_slice(plan.kept());
                 compose.extend((0..seq).map(|p| plan.rank_of(p).map(|rank| pi * m + rank)));
+                erased_rows.extend(plan.erased().iter().map(|&p| pi * seq + p));
                 pi += 1;
             }
         }
-        Self { seq, kept_per_patch: m, patches, kept_rows, pos_rows, compose }
+        Self { seq, kept_per_patch: m, patches, kept_rows, pos_rows, compose, erased_rows }
     }
 
     /// Tokens per patch.
@@ -230,25 +255,41 @@ impl MultiMaskPlan {
         &self.compose
     }
 
+    /// Erased-token rows, `patches * (seq - kept_per_patch)` long: the
+    /// rows a served decode predicts.
+    pub fn erased_rows(&self) -> &[usize] {
+        &self.erased_rows
+    }
+
     /// The row view of a forward over this plan's patches.
-    pub(crate) fn rows(&self) -> RowMaps<'_> {
-        RowMaps { kept_rows: &self.kept_rows, pos_rows: &self.pos_rows, compose: &self.compose }
+    pub fn rows(&self) -> RowMaps<'_> {
+        RowMaps {
+            kept_rows: &self.kept_rows,
+            pos_rows: &self.pos_rows,
+            compose: &self.compose,
+            erased_rows: &self.erased_rows,
+        }
     }
 }
 
 /// The index lists one transformer forward reads, borrowed from the plan
-/// that built them: a uniform group's [`DecodePlan`] or a mixed group's
-/// [`MultiMaskPlan`].
+/// that built them: a uniform group's [`DecodePlan`] (via
+/// [`DecodePlan::rows`]) or a mixed group's [`MultiMaskPlan`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RowMaps<'a> {
+pub struct RowMaps<'a> {
     /// Encoder input gather rows inside the `[batch * seq, dim]` tokens.
-    pub kept_rows: &'a [usize],
+    pub(crate) kept_rows: &'a [usize],
     /// `enc_pos` rows added to the encoder input: `[m]` broadcast over the
     /// batch, or `[batch * m]`, one block per patch.
-    pub pos_rows: &'a [usize],
+    pub(crate) pos_rows: &'a [usize],
     /// Decoder compose map: `Some(row)` scatters encoder output row `row`,
     /// `None` fills the learned mask token.
-    pub compose: &'a [Option<usize>],
+    pub(crate) compose: &'a [Option<usize>],
+    /// Erased-token rows inside the `[batch * seq, dim]` tokens, the same
+    /// count per patch, patch after patch and ascending within a patch: the
+    /// rows the served decode predicts (see
+    /// [`Reconstructor::infer_erased`](crate::Reconstructor::infer_erased)).
+    pub(crate) erased_rows: &'a [usize],
 }
 
 /// A bounded, mask-keyed cache of [`DecodePlan`]s shared by all decode
@@ -351,6 +392,8 @@ mod tests {
             }
         }
         assert_eq!(plan.kept().len(), expect_rank);
+        let erased: Vec<usize> = (0..n * n).filter(|&p| plan.rank_of(p).is_none()).collect();
+        assert_eq!(plan.erased(), &erased[..]);
     }
 
     #[test]
@@ -368,6 +411,10 @@ mod tests {
             for (rank, &p) in plan.kept().iter().enumerate() {
                 assert_eq!(a.kept_rows[bi * m + rank], bi * plan.seq() + p);
                 assert_eq!(a.compose[bi * plan.seq() + p], Some(bi * m + rank));
+            }
+            let t = plan.erased().len();
+            for (k, &p) in plan.erased().iter().enumerate() {
+                assert_eq!(a.erased_rows[bi * t + k], bi * plan.seq() + p);
             }
         }
     }
@@ -434,6 +481,10 @@ mod tests {
                     assert_eq!(fused.compose()[pi * seq + p], None, "erased slot fills mask token");
                 }
             }
+            let t = seq - m;
+            for (k, &p) in plan.erased().iter().enumerate() {
+                assert_eq!(fused.erased_rows()[pi * t + k], pi * seq + p);
+            }
         }
     }
 
@@ -447,6 +498,7 @@ mod tests {
         let maps = plan.maps_for(4);
         assert_eq!(fused.kept_rows(), &maps.kept_rows[..]);
         assert_eq!(fused.compose(), &maps.compose[..]);
+        assert_eq!(fused.erased_rows(), &maps.erased_rows[..]);
     }
 
     #[test]

@@ -712,6 +712,10 @@ impl Executor for Graph<'_> {
         self.gather_rows(src, rows)
     }
 
+    fn gather_rows(&mut self, x: &Var, rows: &[usize]) -> Var {
+        self.gather_rows(*x, rows)
+    }
+
     fn gather_param(&mut self, id: ParamId, rows: &[usize]) -> Var {
         let src = self.param(id);
         self.gather_rows(src, rows)

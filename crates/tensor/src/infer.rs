@@ -592,6 +592,10 @@ impl Executor for InferenceSession<'_, '_> {
         self.gather_rows(src, rows)
     }
 
+    fn gather_rows(&mut self, x: &ScratchTensor, rows: &[usize]) -> ScratchTensor {
+        self.gather_rows(x, rows)
+    }
+
     fn gather_param(&mut self, id: ParamId, rows: &[usize]) -> ScratchTensor {
         self.gather_rows(self.param(id), rows)
     }
@@ -656,15 +660,61 @@ mod tests {
 
         let mut g = Graph::new(&p);
         let x = g.input(input.clone());
-        let y = block.forward(&mut g, x, 3, 6);
+        let y = block.forward(&mut g, x, 3, 6, None);
         let tape = g.value(y).data().to_vec();
 
         let mut arena = ScratchArena::new();
         let mut s = InferenceSession::new(&p, &mut arena);
         let x = s.copy_in(&input);
-        let y = block.forward(&mut s, x, 3, 6);
+        let y = block.forward(&mut s, x, 3, 6, None);
         assert_eq!(bits(&tape), bits(y.data()), "tape vs tape-free must match bit-for-bit");
         s.free(y);
+    }
+
+    #[test]
+    fn block_query_rows_match_the_full_forward_bitwise() {
+        // Restricting a block's queries to some rows of each sequence must
+        // return exactly those rows of the full forward, on both executors
+        // and on the int8 tier (activation quantization is per row too).
+        let mut p = ParamSet::new();
+        let mut r = init::rng(13);
+        let block = nn::TransformerBlock::new(&mut p, &mut r, "blk", 16, 4, 32);
+        let mut q = QuantizedParams::new();
+        block.quantize_into(&p, &mut q);
+        let input = seeded(&[3 * 6, 16], 7);
+        // Two query rows per sequence, out of order within the second.
+        let rows = [1usize, 4, 11, 6, 12, 17];
+        let picked = |full: &[f32]| -> Vec<u32> {
+            rows.iter().flat_map(|&i| bits(&full[i * 16..(i + 1) * 16])).collect()
+        };
+
+        let mut g = Graph::new(&p);
+        let x = g.input(input.clone());
+        let full = block.forward(&mut g, x, 3, 6, None);
+        let x = g.input(input.clone());
+        let pruned = block.forward(&mut g, x, 3, 6, Some(&rows));
+        assert_eq!(g.value(pruned).shape(), &[rows.len(), 16]);
+        assert_eq!(bits(g.value(pruned).data()), picked(g.value(full).data()), "tape");
+
+        let mut arena = ScratchArena::new();
+        for quant in [None, Some(&q)] {
+            let mut s = match quant {
+                None => InferenceSession::new(&p, &mut arena),
+                Some(q) => InferenceSession::with_quantized(&p, q, &mut arena),
+            };
+            let x = s.copy_in(&input);
+            let full = block.forward(&mut s, x, 3, 6, None);
+            let x = s.copy_in(&input);
+            let pruned = block.forward(&mut s, x, 3, 6, Some(&rows));
+            assert_eq!(
+                bits(pruned.data()),
+                picked(full.data()),
+                "session, int8 {}",
+                quant.is_some()
+            );
+            s.free(full);
+            s.free(pruned);
+        }
     }
 
     #[test]
@@ -677,7 +727,7 @@ mod tests {
         let run = |arena: &mut ScratchArena| {
             let mut s = InferenceSession::new(&p, arena);
             let x = s.copy_in(&input);
-            let y = block.forward(&mut s, x, 2, 4);
+            let y = block.forward(&mut s, x, 2, 4, None);
             s.free(y);
         };
         run(&mut arena);
@@ -707,6 +757,7 @@ mod tests {
         let (rows, width) = (x.shape()[0], x.shape()[1]);
         let shuffled: Vec<usize> = (0..rows).map(|i| (i * 5 + 3) % rows).collect();
         let reversed: Vec<usize> = (0..block).rev().collect();
+        let picked: Vec<usize> = (0..rows).rev().step_by(2).chain([0]).collect();
         let map: Vec<Option<usize>> =
             (0..rows + 2).map(|i| (i % 3 != 1).then_some(i * 7 % rows)).collect();
         let mut out = Vec::new();
@@ -719,6 +770,8 @@ mod tests {
         keep(e, "linear", v);
         let v = e.layer_norm(&a, gamma, beta, 1e-5);
         keep(e, "layer_norm", v);
+        let v = e.gather_rows(&a, &picked);
+        keep(e, "gather_rows", v);
         keep(e, "gather_input", a);
         let v = e.gather_input(x, &shuffled);
         let v = e.gelu(v);
@@ -786,7 +839,7 @@ mod tests {
                 (t.shape().to_vec(), bits(t.data()))
             };
             let tape = every_op(&mut g, read, ids, (&x, &y), block);
-            assert_eq!(tape.len(), 14, "one reading per value-producing method");
+            assert_eq!(tape.len(), 15, "one reading per value-producing method");
 
             let mut arena = ScratchArena::new();
             let read = |_: &InferenceSession<'_, '_>, v: &ScratchTensor| {
@@ -821,7 +874,7 @@ mod tests {
         let mut arena = ScratchArena::new();
         let mut s = InferenceSession::new(&p, &mut arena);
         let x = s.copy_in(&input);
-        let y = block.forward(&mut s, x, 3, 6);
+        let y = block.forward(&mut s, x, 3, 6, None);
         let reference = y.data().to_vec();
         s.free(y);
 
@@ -830,7 +883,7 @@ mod tests {
         let run = |arena: &mut ScratchArena| {
             let mut s = InferenceSession::with_quantized(&p, &q, arena);
             let x = s.copy_in(&input);
-            let y = block.forward(&mut s, x, 3, 6);
+            let y = block.forward(&mut s, x, 3, 6, None);
             let out = y.data().to_vec();
             s.free(y);
             out

@@ -39,14 +39,14 @@
 //! // Training: the forward records onto a tape.
 //! let mut graph = Graph::new(&params);
 //! let x = graph.input(tokens.clone());
-//! let taped = block.forward(&mut graph, x, 2, 8);
+//! let taped = block.forward(&mut graph, x, 2, 8, None);
 //! assert_eq!(graph.value(taped).shape(), &[16, 16]);
 //!
 //! // Inference: the same forward on arena buffers, bit for bit.
 //! let mut arena = ScratchArena::new();
 //! let mut session = InferenceSession::new(&params, &mut arena);
 //! let x = session.copy_in(&tokens);
-//! let out = block.forward(&mut session, x, 2, 8);
+//! let out = block.forward(&mut session, x, 2, 8, None);
 //! assert_eq!(out.data(), graph.value(taped).data());
 //! session.free(out);
 //! # }

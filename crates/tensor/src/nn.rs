@@ -55,6 +55,8 @@ pub trait Executor {
     fn batch_matmul(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
     /// Rows of an external rank-2 tensor: `out[i] = src[rows[i]]`.
     fn gather_input(&mut self, src: &Tensor, rows: &[usize]) -> Self::Value;
+    /// Rows of a live rank-2 value: `out[i] = x[rows[i]]`.
+    fn gather_rows(&mut self, x: &Self::Value, rows: &[usize]) -> Self::Value;
     /// Rows of a rank-2 parameter: `out[i] = param[rows[i]]`.
     fn gather_param(&mut self, id: ParamId, rows: &[usize]) -> Self::Value;
     /// `x[r, d] + rows[s, d]` with `rows` tiled over blocks of `s` rows.
@@ -185,37 +187,63 @@ impl MultiHeadAttention {
 
     /// Self-attention over `batch` sequences of `seq` tokens.
     ///
-    /// `x` must be `[batch * seq, dim]`; the result has the same shape.
-    /// Each projection is split into heads before the next one runs, so at
-    /// most one un-split projection is live at a time.
+    /// `x` must be `[batch * seq, dim]`. With `queries = None` every row
+    /// queries and the result has `x`'s shape. With `Some(rows)` only the
+    /// rows of `x` listed there query (keys and values still cover all
+    /// `seq` rows): `rows` holds the same number of rows for each sequence,
+    /// sequence after sequence, and the result is `[rows.len(), dim]`, row
+    /// `i` bit-equal to row `rows[i]` of the full result, because every op
+    /// after the key/value projections is per query row. Each projection
+    /// is split into heads before the next one runs, so at most one
+    /// un-split projection is live at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of `batch`.
     pub fn forward<E: Executor>(
         &self,
         e: &mut E,
         x: &E::Value,
         batch: usize,
         seq: usize,
+        queries: Option<&[usize]>,
     ) -> E::Value {
         let (h, d) = (self.heads, self.dim);
         let dh = d / h;
-        // [B*S, D] -> [B, S, H, Dh] -> [B, H, S, Dh] -> [B*H, S, Dh]
-        let to_heads = |e: &mut E, proj: &Linear| {
+        // [B*L, D] -> [B, L, H, Dh] -> [B, H, L, Dh] -> [B*H, L, Dh]
+        let to_heads = |e: &mut E, proj: &Linear, x: &E::Value, len: usize| {
             let t = proj.forward(e, x);
-            let t = e.reshape(t, &[batch, seq, h, dh]);
+            let t = e.reshape(t, &[batch, len, h, dh]);
             let t = e.permute(t, &[0, 2, 1, 3]);
-            e.reshape(t, &[batch * h, seq, dh])
+            e.reshape(t, &[batch * h, len, dh])
         };
-        let qh = to_heads(e, &self.q);
-        let kh = to_heads(e, &self.k);
-        let vh = to_heads(e, &self.v);
+        let (qh, q_len) = match queries {
+            None => (to_heads(e, &self.q, x, seq), seq),
+            Some(rows) => {
+                assert_eq!(
+                    rows.len() % batch,
+                    0,
+                    "{} query rows over {batch} sequences",
+                    rows.len()
+                );
+                let q_len = rows.len() / batch;
+                let xq = e.gather_rows(x, rows);
+                let qh = to_heads(e, &self.q, &xq, q_len);
+                e.free(xq);
+                (qh, q_len)
+            }
+        };
+        let kh = to_heads(e, &self.k, x, seq);
+        let vh = to_heads(e, &self.v, x, seq);
         let kt = e.permute(kh, &[0, 2, 1]);
         let scores = e.batch_matmul(qh, kt);
         let scores = e.scale(scores, 1.0 / (dh as f32).sqrt());
         let attn = e.softmax(scores);
         let ctx = e.batch_matmul(attn, vh);
-        // [B*H, S, Dh] -> [B, H, S, Dh] -> [B, S, H, Dh] -> [B*S, D]
-        let ctx = e.reshape(ctx, &[batch, h, seq, dh]);
+        // [B*H, Lq, Dh] -> [B, H, Lq, Dh] -> [B, Lq, H, Dh] -> [B*Lq, D]
+        let ctx = e.reshape(ctx, &[batch, h, q_len, dh]);
         let ctx = e.permute(ctx, &[0, 2, 1, 3]);
-        let ctx = e.reshape(ctx, &[batch * seq, d]);
+        let ctx = e.reshape(ctx, &[batch * q_len, d]);
         let out = self.o.forward(e, &ctx);
         e.free(ctx);
         out
@@ -299,16 +327,30 @@ impl TransformerBlock {
     }
 
     /// Applies the block to `[batch * seq, dim]` tokens, consuming `x`.
+    ///
+    /// `queries` restricts the output to those rows of `x`, as in
+    /// [`MultiHeadAttention::forward`]: attention still reads every row,
+    /// and the residual, feed-forward and norms after it run on the listed
+    /// rows only. `None` runs every row.
     pub fn forward<E: Executor>(
         &self,
         e: &mut E,
         x: E::Value,
         batch: usize,
         seq: usize,
+        queries: Option<&[usize]>,
     ) -> E::Value {
         let ln = self.ln1.forward(e, &x);
-        let h = self.attn.forward(e, &ln, batch, seq);
+        let h = self.attn.forward(e, &ln, batch, seq, queries);
         e.free(ln);
+        let x = match queries {
+            None => x,
+            Some(rows) => {
+                let xq = e.gather_rows(&x, rows);
+                e.free(x);
+                xq
+            }
+        };
         let x = e.add(x, h);
         let ln = self.ln2.forward(e, &x);
         let h = self.ffn.forward(e, &ln);
@@ -352,7 +394,7 @@ mod tests {
         let attn = MultiHeadAttention::new(&mut p, &mut r, "attn", 8, 2);
         let mut g = Graph::new(&p);
         let x = g.input(init::uniform(&mut r, &[2 * 5, 8], -1.0, 1.0));
-        let y = attn.forward(&mut g, &x, 2, 5);
+        let y = attn.forward(&mut g, &x, 2, 5, None);
         assert_eq!(g.value(y).shape(), &[10, 8]);
         assert!(g.value(y).data().iter().all(|v| v.is_finite()));
     }
@@ -364,7 +406,7 @@ mod tests {
         let block = TransformerBlock::new(&mut p, &mut r, "blk", 8, 2, 16);
         let mut g = Graph::new(&p);
         let x = g.input(init::uniform(&mut r, &[2 * 4, 8], -1.0, 1.0));
-        let y = block.forward(&mut g, x, 2, 4);
+        let y = block.forward(&mut g, x, 2, 4, None);
         let loss = g.mean_all(y);
         let grads = g.backward(loss);
         // Every block parameter should receive a gradient.
@@ -381,7 +423,7 @@ mod tests {
         let attn = MultiHeadAttention::new(&mut p, &mut r, "attn", 4, 1);
         let mut g = Graph::new(&p);
         let x = g.input(Tensor::full(&[6, 4], 0.5));
-        let y = attn.forward(&mut g, &x, 1, 6);
+        let y = attn.forward(&mut g, &x, 1, 6, None);
         let d = g.value(y).data();
         for row in 1..6 {
             for j in 0..4 {

@@ -9,6 +9,11 @@
 //! `EASZ_MATMUL_THREADS` setting (checked via subprocesses, since the pool
 //! size is read once per process).
 //!
+//! The pool runs `min(available_parallelism, EASZ_MATMUL_THREADS)` threads,
+//! so the sweep spawns one child per distinct *effective* count among the
+//! settings 1, 2, 4 and 8: a 2-vCPU box covers 1 and 2 workers, a 4-vCPU
+//! box 1, 2 and 4, and only a box with 8 or more CPUs runs all four.
+//!
 //! The pins were recorded at commit `de5a698`, where a serial trainer and a
 //! sharded trainer with a worker knob still existed side by side. There the
 //! serial trainer and the one-shard sharded trainer gave the same 1-shard
@@ -117,38 +122,49 @@ fn matmul_thread_digest_helper() {
 }
 
 /// Reads the 16-hex-digit digest after `TRAIN_DIGEST=` in a child's stdout.
-fn child_digest(stdout: &str, threads: &str) -> u64 {
+fn child_digest(stdout: &str, threads: usize) -> u64 {
     const MARKER: &str = "TRAIN_DIGEST=";
     // The libtest banner can share the digest's line under `--nocapture`,
     // so scan for the marker rather than whole lines.
     let at = stdout
         .find(MARKER)
-        .unwrap_or_else(|| panic!("no digest from child with {threads} threads:\n{stdout}"));
+        .unwrap_or_else(|| panic!("no digest from child on {threads} workers:\n{stdout}"));
     let hex: String =
         stdout[at + MARKER.len()..].chars().take_while(|c| c.is_ascii_hexdigit()).collect();
-    assert_eq!(hex.len(), 16, "malformed digest from child with {threads} threads");
+    assert_eq!(hex.len(), 16, "malformed digest from child on {threads} workers");
     u64::from_str_radix(&hex, 16).expect("hex digest")
+}
+
+/// The distinct worker counts the pool runs at under `EASZ_MATMUL_THREADS`
+/// = 1, 2, 4 and 8 on this machine: each setting capped at the available
+/// parallelism, as the pool sizes itself.
+fn effective_worker_counts() -> Vec<usize> {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut counts: Vec<usize> = [1, 2, 4, 8].iter().map(|&n| cpus.min(n)).collect();
+    counts.dedup();
+    counts
 }
 
 /// The worker sweep: the pool's size is the worker count, so each child
 /// trains `shards` shards on a different number of workers and must still
-/// hit `pinned`.
+/// hit `pinned`. Settings the machine caps to the same count would train
+/// on the same schedule, so each effective count runs once.
 fn assert_digest_pinned_across_worker_counts(shards: usize, pinned: u64) {
     let exe = std::env::current_exe().expect("test binary path");
-    for threads in ["1", "2", "4", "8"] {
+    for threads in effective_worker_counts() {
         let out = std::process::Command::new(&exe)
             .args(["matmul_thread_digest_helper", "--exact", "--nocapture", "--test-threads=1"])
             .env("EASZ_TRAIN_DETERMINISM_CHILD", shards.to_string())
-            .env("EASZ_MATMUL_THREADS", threads)
+            .env("EASZ_MATMUL_THREADS", threads.to_string())
             .output()
             .expect("spawn child test process");
         let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        assert!(out.status.success(), "child with {threads} matmul threads failed:\n{stdout}");
+        assert!(out.status.success(), "child on {threads} matmul workers failed:\n{stdout}");
         assert_eq!(
             child_digest(&stdout, threads),
             pinned,
-            "EASZ_MATMUL_THREADS={threads} moved the {shards}-shard digest: \
-             worker count must be pure scheduling"
+            "{threads} matmul workers (EASZ_MATMUL_THREADS={threads}) moved the \
+             {shards}-shard digest: worker count must be pure scheduling"
         );
     }
 }
