@@ -26,7 +26,7 @@ use crate::error::EaszError;
 use crate::mask::EraseMask;
 use crate::model::{Reconstructor, TokenBatch};
 use crate::patchify::{place_token, PatchGeometry, Patchified};
-use crate::plan::{ArenaPool, DecodePlan, MultiMaskPlan, PlanCache};
+use crate::plan::{ArenaPool, PlanCache};
 use crate::squeeze::{unsqueeze_patch, FillMethod, Orientation};
 use easz_codecs::{CodecRegistry, ImageCodec};
 use easz_image::{Channels, ImageF32};
@@ -59,8 +59,8 @@ pub enum DecodeEngine {
 
 /// One served reconstructor with its own plan cache. Plans are built from
 /// (mask, model geometry), so caches must not be shared across models with
-/// different weights or shapes; the scratch [`ArenaPool`] is pure buffer
-/// storage and *is* shared decoder-wide.
+/// different weights or shapes; the [`ArenaPool`] of scratch arenas and
+/// row plans is pure buffer storage and *is* shared decoder-wide.
 struct ModelSlot<'m> {
     id: u8,
     model: &'m Reconstructor,
@@ -214,7 +214,8 @@ impl<'m> EaszDecoder<'m> {
     /// channel, [`EaszError::UnknownCodec`] if the registry has no codec
     /// under the bitstream's id, inner-codec errors, and
     /// [`EaszError::Malformed`] if the decoded payload's size disagrees with
-    /// the announced geometry.
+    /// the announced geometry or its channels (grayscale or RGB) are not
+    /// the routed model's.
     pub fn decode(&self, encoded: &EaszEncoded) -> Result<ImageF32, EaszError> {
         self.decode_as(encoded, encoded.preferred_engine())
     }
@@ -243,10 +244,10 @@ impl<'m> EaszDecoder<'m> {
     /// streams: every container sharing the model's geometry and an erase
     /// *count* (kept tokens per patch) is concatenated into one
     /// [`TokenBatch`] and costs a single forward pass instead of one per
-    /// container. Containers whose effective masks are identical ride the
-    /// uniform-mask plan; a mixed-mask group (distinct per-stream seeds —
-    /// the realistic fleet case) is fused through a [`MultiMaskPlan`],
-    /// which maps each patch by its own mask inside the shared forward.
+    /// container. The group's forward reads one
+    /// [`MultiMaskPlan`](crate::MultiMaskPlan), which maps each patch by its
+    /// own container's mask, so identical masks and distinct per-stream
+    /// seeds (the realistic fleet case) fuse alike.
     ///
     /// Errors are isolated per container — one corrupt or unresolvable
     /// stream never fails its batch mates — and every produced image is
@@ -341,6 +342,7 @@ impl<'m> EaszDecoder<'m> {
             let slot = model_slots[group[0]].expect("grouped streams have a model");
             let (_, kept, _) = fusion_keys[group[0]].expect("grouped streams have a key");
             let erased = slot.model.config().seq_len() - kept;
+            let channels = slot.model.config().channels();
             let mut members: Vec<(usize, PreparedStream)> = Vec::with_capacity(group.len());
             for i in group {
                 let (wire_mask, mask) = masks[i].take().expect("grouped streams have masks");
@@ -348,7 +350,7 @@ impl<'m> EaszDecoder<'m> {
                     .registry
                     .get(encoded[i].codec_id)
                     .ok_or(EaszError::UnknownCodec(encoded[i].codec_id))
-                    .and_then(|codec| self.prepare(&encoded[i], codec, wire_mask, mask));
+                    .and_then(|codec| self.prepare(&encoded[i], codec, channels, wire_mask, mask));
                 match result {
                     Ok(p) => members.push((i, p)),
                     Err(error) => out[i] = Some(Err(error)),
@@ -360,16 +362,14 @@ impl<'m> EaszDecoder<'m> {
             group_stats.push((slot.id, members.len()));
             // One transformer forward for the whole group, predicting its
             // erased rows only; a group whose masks erase nothing has none
-            // to predict. The plan stage picks the row view: a uniform-mask
-            // group keeps its cached plan's broadcast positional rows, a
-            // mixed-mask group fuses through a MultiMaskPlan. Everything
-            // this block builds, the token batch included, is dropped
-            // before finish allocates the output images.
+            // to predict. The plan stage refills the pooled row plan, one
+            // stream per container under its cached mask plan. Everything
+            // this block builds, the token batch included, is dropped or
+            // pooled before finish allocates the output images.
             let recon = if erased == 0 {
                 Vec::new()
             } else {
                 let geometry = slot.model.config().geometry();
-                let channels = slot.model.config().channels();
                 let patches = members.iter().map(|(_, p)| p.patches.len()).sum();
                 let batch = TokenBatch::from_image_patches(
                     members.iter().flat_map(|(_, p)| &p.patches),
@@ -377,30 +377,18 @@ impl<'m> EaszDecoder<'m> {
                     geometry,
                     channels,
                 );
+                let (mut arena, mut plan) = self.arenas.take();
                 let t = self.stage_start();
-                let (uniform, plans, streams, fused);
-                let rows = if members.iter().all(|(_, p)| p.mask == members[0].1.mask) {
-                    let plan = slot.plans.get_or_build(&members[0].1.mask);
-                    uniform = (plan.maps_for(batch.batch), plan);
-                    uniform.1.rows(&uniform.0)
-                } else {
-                    plans = members
+                plan.refill(
+                    members
                         .iter()
-                        .map(|(_, p)| (slot.plans.get_or_build(&p.mask), p.patches.len()))
-                        .collect::<Vec<_>>();
-                    streams = plans
-                        .iter()
-                        .map(|(plan, count)| (plan.as_ref(), *count))
-                        .collect::<Vec<(&DecodePlan, usize)>>();
-                    fused = MultiMaskPlan::new(&streams);
-                    fused.rows()
-                };
+                        .map(|(_, p)| (slot.plans.get_or_build(&p.mask), p.patches.len())),
+                );
                 self.stage_end(t, crate::DecodeStage::Plan);
-                let mut arena = self.arenas.take();
                 let t = self.stage_start();
-                let recon = slot.model.infer_erased(&batch, rows, &mut arena, engine);
+                let recon = slot.model.infer_erased(&batch, &plan, &mut arena, engine);
                 self.stage_end(t, crate::DecodeStage::Forward);
-                self.arenas.put(arena);
+                self.arenas.put(arena, plan);
                 recon
             };
             let per_patch = erased * slot.model.config().token_dim();
@@ -474,20 +462,22 @@ impl<'m> EaszDecoder<'m> {
         Ok((slot, mask, effective))
     }
 
-    /// Stage 1 of decoding: inner-decode the payload and un-squeeze it back
-    /// onto the patch grid (erased sub-patches zero-filled). Both masks
-    /// come from [`validate_masks`](Self::validate_masks): the wire mask
+    /// Stage 1 of decoding: inner-decode the payload, check it against the
+    /// routed model's `channels`, and un-squeeze it back onto the patch
+    /// grid (erased sub-patches zero-filled). Both masks come from
+    /// [`validate_masks`](Self::validate_masks): the wire mask
     /// drives the squeeze layout, the effective mask rides along into the
     /// [`PreparedStream`] for reconstruction.
     fn prepare(
         &self,
         encoded: &EaszEncoded,
         codec: &dyn ImageCodec,
+        channels: Channels,
         wire_mask: EraseMask,
         mask: EraseMask,
     ) -> Result<PreparedStream, EaszError> {
         let t = self.stage_start();
-        let result = self.prepare_inner(encoded, codec, wire_mask, mask);
+        let result = self.prepare_inner(encoded, codec, channels, wire_mask, mask);
         self.stage_end(t, crate::DecodeStage::Parse);
         result
     }
@@ -496,6 +486,7 @@ impl<'m> EaszDecoder<'m> {
         &self,
         encoded: &EaszEncoded,
         codec: &dyn ImageCodec,
+        channels: Channels,
         wire_mask: EraseMask,
         mask: EraseMask,
     ) -> Result<PreparedStream, EaszError> {
@@ -518,6 +509,14 @@ impl<'m> EaszDecoder<'m> {
                 rows * sq_h
             )));
         }
+        // The model's token width is fixed by its channel layout, so a
+        // payload in another layout has no forward to run through.
+        if squeezed.channels() != channels {
+            return Err(EaszError::Malformed(format!(
+                "{:?} payload does not match the model's {channels:?} channels",
+                squeezed.channels()
+            )));
+        }
 
         // Un-squeeze every patch with zero fill; the forward fills the holes.
         let mut patches: Vec<ImageF32> = Vec::with_capacity(cols * rows);
@@ -534,7 +533,7 @@ impl<'m> EaszDecoder<'m> {
             rows,
             width: encoded.width,
             height: encoded.height,
-            channels: squeezed.channels(),
+            channels,
             synthesize_grain: encoded.config.synthesize_grain,
         })
     }
@@ -908,6 +907,25 @@ mod tests {
         let first = results[0].as_ref().expect("first decode");
         let last = results[3].as_ref().expect("last decode");
         assert_eq!(first.data(), last.data(), "identical streams decode identically");
+    }
+
+    #[test]
+    fn grayscale_payload_for_an_rgb_model_is_malformed_not_a_panic() {
+        // The model's token width is fixed by its channel layout: a
+        // grayscale container routed to an RGB model is a typed error, alone
+        // and in a window beside a good container, which still decodes.
+        let model = quick_model();
+        let dec = EaszDecoder::new(&model);
+        let codec = JpegLikeCodec::new();
+        let rgb = Dataset::KodakLike.image(8).crop(0, 0, 32, 32);
+        let gray = easz_image::color::luma(&rgb);
+        let gray = encoder().compress(&gray, &codec, Quality::new(70)).expect("compress gray");
+        let good = encoder().compress(&rgb, &codec, Quality::new(70)).expect("compress rgb");
+        assert!(matches!(dec.decode_bytes(&gray.to_bytes()), Err(EaszError::Malformed(_))));
+        let serial = dec.decode(&good).expect("serial decode");
+        let results = dec.decode_batch(&[gray, good]);
+        assert!(matches!(results[0], Err(EaszError::Malformed(_))));
+        assert_eq!(results[1].as_ref().expect("good container decodes").data(), serial.data());
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use model::{Reconstructor, ReconstructorConfig, TokenBatch};
 pub use patchify::{
     attention_cost_reduction, extract_token, patch_tokens, place_token, PatchGeometry, Patchified,
 };
-pub use plan::{BatchMaps, DecodePlan, MultiMaskPlan, RowMaps};
+pub use plan::{DecodePlan, MultiMaskPlan};
 pub use squeeze::{pixel_saving_ratio, squeeze_patch, unsqueeze_patch, FillMethod, Orientation};
 pub use stagetrace::{DecodeStage, StageSink, DECODE_STAGES};
 pub use train::{erased_region_mse, TrainConfig, Trainer};

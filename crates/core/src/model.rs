@@ -13,7 +13,7 @@
 use crate::decoder::DecodeEngine;
 use crate::mask::EraseMask;
 use crate::patchify::PatchGeometry;
-use crate::plan::{DecodePlan, MultiMaskPlan, RowMaps};
+use crate::plan::{DecodePlan, MultiMaskPlan};
 use easz_image::{Channels, ImageF32};
 use easz_tensor::nn::Executor;
 use easz_tensor::{
@@ -313,12 +313,13 @@ impl Reconstructor {
     pub fn forward(&self, g: &mut Graph<'_>, batch: &TokenBatch, mask: &EraseMask) -> Var {
         assert_eq!(mask.n_grid() * mask.n_grid(), batch.seq, "mask size mismatch");
         let plan = DecodePlan::new(mask);
-        self.run(g, batch, plan.rows(&plan.maps_for(batch.batch)), None)
+        self.run(g, batch, &MultiMaskPlan::new(&[(&plan, batch.batch)]), None)
     }
 
     /// The transformer forward, written once for every executor: encoder
-    /// over the kept tokens, decoder over the composed sequence. With
-    /// `out_rows = None` it predicts every row, `[batch * seq, token_dim]`;
+    /// over the kept tokens, decoder over the composed sequence, each patch
+    /// mapped by its own mask through `plan`. With `out_rows = None` it
+    /// predicts every row, `[batch * seq, token_dim]`;
     /// with `Some(rows)` (the same count per patch) the last decoder block
     /// queries only those rows and the result is `[rows.len(), token_dim]`,
     /// each row bit-equal to its row of the full prediction.
@@ -326,29 +327,27 @@ impl Reconstructor {
         &self,
         e: &mut E,
         batch: &TokenBatch,
-        rows: RowMaps<'_>,
+        plan: &MultiMaskPlan,
         out_rows: Option<&[usize]>,
     ) -> E::Value {
         let (bsz, seq) = (batch.batch, batch.seq);
         assert_eq!(seq, self.cfg.seq_len(), "sequence length mismatch");
-        assert_eq!(rows.compose.len(), bsz * seq, "plan does not match the batch");
-        let m = rows.kept_rows.len() / bsz;
+        assert_eq!((plan.patches(), plan.seq()), (bsz, seq), "plan does not match the batch");
+        let m = plan.kept_per_patch();
 
         // --- Encoder: only un-erased tokens. ---
-        let enc_in = e.gather_input(&batch.tokens, rows.kept_rows);
+        let enc_in = e.gather_input(&batch.tokens, plan.kept_rows());
         let x = self.in_proj.forward(e, &enc_in);
         e.free(enc_in);
-        // A uniform mask adds one `[m, d]` block broadcast over the batch;
-        // mixed masks add `[bsz * m, d]`, one block per patch — element-wise
-        // the same additions.
-        let pos = e.gather_param(self.enc_pos, rows.pos_rows);
+        // `[bsz * m, d]`: each patch's kept positions, one block per patch.
+        let pos = e.gather_param(self.enc_pos, plan.pos_rows());
         let mut x = e.add_rows(x, pos);
         for block in &self.enc_blocks {
             x = block.forward(e, x, bsz, m, None);
         }
 
         // --- Decoder input: scatter encoder features + mask tokens. ---
-        let y = e.compose_tokens(x, self.mask_token, rows.compose);
+        let y = e.compose_tokens(x, self.mask_token, plan.compose());
         let mut y = e.add_param_rows(y, self.dec_pos);
         let last = self.dec_blocks.len() - 1;
         for (i, block) in self.dec_blocks.iter().enumerate() {
@@ -365,7 +364,7 @@ impl Reconstructor {
     fn infer<T>(
         &self,
         batch: &TokenBatch,
-        rows: RowMaps<'_>,
+        plan: &MultiMaskPlan,
         out_rows: Option<&[usize]>,
         arena: &mut ScratchArena,
         engine: DecodeEngine,
@@ -377,7 +376,7 @@ impl Reconstructor {
                 InferenceSession::with_quantized(&self.params, self.quantized_params(), arena)
             }
         };
-        let out = self.run(&mut s, batch, rows, out_rows);
+        let out = self.run(&mut s, batch, plan, out_rows);
         let result = read(out.data());
         s.free(out);
         result
@@ -388,16 +387,16 @@ impl Reconstructor {
     fn infer_all(
         &self,
         batch: &TokenBatch,
-        rows: RowMaps<'_>,
+        plan: &MultiMaskPlan,
         arena: &mut ScratchArena,
         engine: DecodeEngine,
     ) -> Vec<Vec<Vec<f32>>> {
         let dim = self.cfg.token_dim();
-        self.infer(batch, rows, None, arena, engine, |out| to_patches(out, batch.seq, dim))
+        self.infer(batch, plan, None, arena, engine, |out| to_patches(out, batch.seq, dim))
     }
 
     /// The served decode's forward: predicts only the erased rows of
-    /// `rows` (its plan's erased positions) on `engine`'s tier, over
+    /// `plan` (each patch's erased positions) on `engine`'s tier, over
     /// `arena`.
     ///
     /// The last decoder block queries only those rows (its keys and values
@@ -412,16 +411,16 @@ impl Reconstructor {
     ///
     /// # Panics
     ///
-    /// Panics if the batch geometry does not match the model or `rows`
+    /// Panics if the batch geometry does not match the model or `plan`
     /// was built for a different batch.
     pub fn infer_erased(
         &self,
         batch: &TokenBatch,
-        rows: RowMaps<'_>,
+        plan: &MultiMaskPlan,
         arena: &mut ScratchArena,
         engine: DecodeEngine,
     ) -> Vec<f32> {
-        self.infer(batch, rows, Some(rows.erased_rows), arena, engine, |out| {
+        self.infer(batch, plan, Some(plan.erased_rows()), arena, engine, |out| {
             out.iter().map(|&v| decentre(v)).collect()
         })
     }
@@ -464,9 +463,9 @@ impl Reconstructor {
     /// The tape-free forward: reconstructs a token batch using a
     /// precomputed [`DecodePlan`] and a reusable [`ScratchArena`].
     ///
-    /// This is the server-side hot path: no autodiff tape, no parameter
-    /// clones, in-place activations, and — once `arena` is warm — no
-    /// allocations beyond the returned token lists. Output is
+    /// No autodiff tape, no parameter clones, in-place activations, and —
+    /// once `arena` is warm — no allocations beyond the batch's one-stream
+    /// [`MultiMaskPlan`] and the returned token lists. Output is
     /// byte-identical to [`forward`](Self::forward) on a [`Graph`].
     ///
     /// # Panics
@@ -479,8 +478,7 @@ impl Reconstructor {
         plan: &DecodePlan,
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
-        let maps = plan.maps_for(batch.batch);
-        self.infer_all(batch, plan.rows(&maps), arena, DecodeEngine::TapeFree)
+        self.infer_tokens_multi(batch, &MultiMaskPlan::new(&[(plan, batch.batch)]), arena)
     }
 
     /// [`infer_tokens`](Self::infer_tokens) on the quantized int8 tier:
@@ -494,24 +492,21 @@ impl Reconstructor {
         plan: &DecodePlan,
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
-        let maps = plan.maps_for(batch.batch);
-        self.infer_all(batch, plan.rows(&maps), arena, DecodeEngine::QuantizedInt8)
+        self.infer_tokens_multi_quant(batch, &MultiMaskPlan::new(&[(plan, batch.batch)]), arena)
     }
 
-    /// The tape-free forward for a **mixed-mask** batch: patches that share
-    /// a geometry and erase *count* but not erase positions (a fleet of
-    /// edge senders with per-device mask seeds) reconstructed in one
-    /// forward pass via a fused [`MultiMaskPlan`].
+    /// The tape-free forward over a [`MultiMaskPlan`]: patches that share
+    /// a geometry and erase *count* but not necessarily erase positions (a
+    /// fleet of edge senders with per-device mask seeds) reconstructed in
+    /// one forward pass. [`infer_tokens`](Self::infer_tokens) is its
+    /// one-stream case.
     ///
     /// Per stream, the output is byte-identical to
     /// [`infer_tokens`](Self::infer_tokens) under that stream's own plan:
     /// attention is confined within each patch and every other op is
     /// row-wise, so packing differently-masked patches into one batch
     /// changes only which rows sit next to each other, never the
-    /// per-element operations or their order. The single structural
-    /// difference is the encoder positional embedding, which is gathered
-    /// per patch (each patch keeps different grid positions) instead of
-    /// broadcast — element-wise the same additions.
+    /// per-element operations or their order.
     ///
     /// # Panics
     ///
@@ -523,7 +518,7 @@ impl Reconstructor {
         plan: &MultiMaskPlan,
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
-        self.infer_all(batch, plan.rows(), arena, DecodeEngine::TapeFree)
+        self.infer_all(batch, plan, arena, DecodeEngine::TapeFree)
     }
 
     /// [`infer_tokens_multi`](Self::infer_tokens_multi) on the quantized
@@ -537,7 +532,7 @@ impl Reconstructor {
         plan: &MultiMaskPlan,
         arena: &mut ScratchArena,
     ) -> Vec<Vec<Vec<f32>>> {
-        self.infer_all(batch, plan.rows(), arena, DecodeEngine::QuantizedInt8)
+        self.infer_all(batch, plan, arena, DecodeEngine::QuantizedInt8)
     }
 
     /// Builds the paper's training loss (Eq. 2): `L1 + λ · perceptual` where

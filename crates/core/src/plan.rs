@@ -1,30 +1,27 @@
-//! Cached decode plans: the mask-derived index structures a transformer
-//! forward needs, computed once per effective mask instead of per call.
+//! Decode plans: the mask-derived index structures a transformer forward
+//! needs.
 //!
 //! Fleets of edge senders share a handful of masks (that sharing is exactly
 //! what [`EaszDecoder::decode_batch`](crate::EaszDecoder::decode_batch)
-//! groups by), so the kept-position list, the encoder gather rows and the
-//! decoder scatter/compose map would otherwise be rebuilt per container for
-//! the same few masks. A [`DecodePlan`] hoists those structures out of the
-//! hot path: built once per effective mask, it serves every container under
-//! that mask and memoises the maps of the last few batch sizes, and the
-//! position→rank table it carries builds the compose map in `O(seq)`.
-//! Every forward reads its maps from a plan — the decoder's, the
-//! [`MultiMaskPlan`] of a mixed group, and the training tape's
-//! [`Reconstructor::forward`](crate::Reconstructor::forward) alike — so the
-//! maps are defined in this module only.
+//! groups by), so a [`DecodePlan`] holds the geometry of one effective
+//! mask — its kept and erased positions and the position→rank table — built
+//! once and shared by every container under that mask. A forward reads its
+//! rows from a [`MultiMaskPlan`], which lays out a batch stream by stream,
+//! each patch under its own mask's plan; a uniform batch is one stream.
+//! Every forward — the decoder's, `infer_tokens*` and the training tape's
+//! [`Reconstructor::forward`](crate::Reconstructor::forward) alike — reads
+//! such a plan, so the row maps are defined in this module only.
 
 use crate::mask::EraseMask;
 use easz_tensor::ScratchArena;
+use std::borrow::Borrow;
 use std::sync::{Arc, Mutex};
 
-/// Precomputed index structures for reconstructing under one effective
-/// mask.
+/// The geometry of one effective mask: which grid positions it keeps and
+/// erases, and each kept position's rank.
 ///
-/// Geometry-only — no dependency on the model weights or batch contents —
-/// so one plan is shared freely across threads and containers. Per-batch-
-/// size row maps are derived lazily, and those of the most recent few batch
-/// sizes are memoised inside the plan.
+/// No dependency on the model weights or batch contents, so one plan is
+/// shared freely across threads and containers.
 #[derive(Debug)]
 pub struct DecodePlan {
     /// Tokens per patch (`grid²`).
@@ -35,37 +32,12 @@ pub struct DecodePlan {
     /// predicts.
     erased: Vec<usize>,
     /// `rank_of[p]` = rank of position `p` among kept positions, `None` if
-    /// erased. Replaces per-position binary search when building scatter
+    /// erased. Replaces per-position binary search when building compose
     /// maps.
     rank_of: Vec<Option<usize>>,
-    /// Batch-size-keyed gather/compose maps, built on first use, oldest
-    /// first.
-    maps: Mutex<Vec<(usize, Arc<BatchMaps>)>>,
-}
-
-/// The per-batch-size row maps of a [`DecodePlan`]: everything the forward
-/// needs that scales with the number of patches.
-#[derive(Debug)]
-pub struct BatchMaps {
-    /// Encoder input gather: for each batch element, the row indices of its
-    /// kept tokens inside the `[batch * seq, dim]` token matrix.
-    pub kept_rows: Vec<usize>,
-    /// Decoder compose map: `Some(row)` scatters encoder output row `row`,
-    /// `None` fills the learned mask token.
-    pub compose: Vec<Option<usize>>,
-    /// For each batch element, the row indices of its erased tokens inside
-    /// the `[batch * seq, dim]` token matrix: the rows a served decode
-    /// predicts.
-    pub erased_rows: Vec<usize>,
 }
 
 impl DecodePlan {
-    /// Batch sizes whose maps stay memoised; the oldest is evicted beyond
-    /// this. A uniform group's batch size is its total patch count, which
-    /// clients set through canvas size and window packing, so the memo must
-    /// not grow with what they send.
-    const MAX_BATCH_SIZES: usize = 16;
-
     /// Builds the plan for one effective mask.
     ///
     /// # Panics
@@ -83,7 +55,7 @@ impl DecodePlan {
         for (rank, &p) in kept.iter().enumerate() {
             rank_of[p] = Some(rank);
         }
-        Self { seq, kept, erased, rank_of, maps: Mutex::new(Vec::new()) }
+        Self { seq, kept, erased, rank_of }
     }
 
     /// Tokens per patch this plan was built for.
@@ -105,67 +77,20 @@ impl DecodePlan {
     pub fn rank_of(&self, pos: usize) -> Option<usize> {
         self.rank_of[pos]
     }
-
-    /// The gather/compose maps for a batch of `bsz` patches (memoised).
-    pub fn maps_for(&self, bsz: usize) -> Arc<BatchMaps> {
-        let mut maps = self.maps.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, m)) = maps.iter().find(|(size, _)| *size == bsz) {
-            return Arc::clone(m);
-        }
-        let m = Arc::new(self.build_maps(bsz));
-        if maps.len() >= Self::MAX_BATCH_SIZES {
-            maps.remove(0);
-        }
-        maps.push((bsz, Arc::clone(&m)));
-        m
-    }
-
-    /// The row view of a forward over `maps` (built by this plan): the
-    /// encoder's positional rows are the kept positions, one `[m, d]` block
-    /// broadcast over the batch.
-    pub fn rows<'a>(&'a self, maps: &'a BatchMaps) -> RowMaps<'a> {
-        RowMaps {
-            kept_rows: &maps.kept_rows,
-            pos_rows: &self.kept,
-            compose: &maps.compose,
-            erased_rows: &maps.erased_rows,
-        }
-    }
-
-    fn build_maps(&self, bsz: usize) -> BatchMaps {
-        let m = self.kept.len();
-        let kept_rows: Vec<usize> =
-            (0..bsz).flat_map(|bi| self.kept.iter().map(move |&p| bi * self.seq + p)).collect();
-        let mut compose: Vec<Option<usize>> = Vec::with_capacity(bsz * self.seq);
-        for bi in 0..bsz {
-            for p in 0..self.seq {
-                compose.push(self.rank_of[p].map(|rank| bi * m + rank));
-            }
-        }
-        let erased_rows =
-            (0..bsz).flat_map(|bi| self.erased.iter().map(move |&p| bi * self.seq + p)).collect();
-        BatchMaps { kept_rows, compose, erased_rows }
-    }
 }
 
-/// A fused decode plan for a batch of patches that share a geometry and an
-/// erase *count* but not necessarily erase *positions* — the mixed-fleet
-/// case where every edge sender rolls its own mask seed.
+/// The row plan of one transformer forward over a batch of patches that
+/// share a geometry and an erase *count*: each patch's rows are gathered,
+/// positionally embedded and composed by its own mask. A batch under one
+/// mask is one stream; a mixed-fleet batch, where every edge sender rolls
+/// its own mask seed, is one stream per mask.
 ///
 /// The transformer treats a batch as independent per-patch rows (attention
 /// is confined within each patch; every other op is row-wise), so patches
-/// under different masks can share one forward as long as each patch's rows
-/// are gathered, positionally embedded and composed by *its own* mask. This
-/// plan concatenates those per-stream maps. Outputs are byte-identical to
-/// running each stream through its own uniform-mask forward: per element,
-/// the very same kernel operations execute in the very same order — only
-/// the batch dimension they are packed into differs.
-///
-/// The one structural difference from the uniform-mask path: the encoder's
-/// positional embedding can no longer be a single `[m, d]` block broadcast
-/// over the batch (each patch keeps different positions), so the plan
-/// carries `pos_rows` — per-patch embedding row indices — and the forward
-/// gathers a full `[patches * m, d]` embedding matrix instead.
+/// under different masks share one forward and each comes out
+/// byte-identical to a forward over its stream alone: per element, the
+/// very same kernel operations execute in the very same order — only the
+/// batch dimension they are packed into differs.
 #[derive(Debug)]
 pub struct MultiMaskPlan {
     seq: usize,
@@ -186,8 +111,8 @@ pub struct MultiMaskPlan {
 }
 
 impl MultiMaskPlan {
-    /// Builds the fused plan from per-stream `(plan, patch count)` pairs;
-    /// each stream contributes `count` consecutive patches under its plan's
+    /// Builds the plan from per-stream `(plan, patch count)` pairs; each
+    /// stream contributes `count` consecutive patches under its plan's
     /// mask.
     ///
     /// # Panics
@@ -198,15 +123,47 @@ impl MultiMaskPlan {
     /// if no patches are contributed at all.
     pub fn new(streams: &[(&DecodePlan, usize)]) -> Self {
         let (first, _) = streams.first().expect("empty multi-mask plan");
-        let (seq, m) = (first.seq(), first.kept().len());
-        let patches: usize = streams.iter().map(|(_, count)| count).sum();
-        assert!(patches > 0, "multi-mask plan without patches");
-        let mut kept_rows = Vec::with_capacity(patches * m);
-        let mut pos_rows = Vec::with_capacity(patches * m);
-        let mut compose = Vec::with_capacity(patches * seq);
-        let mut erased_rows = Vec::with_capacity(patches * (seq - m));
+        let patches = streams.iter().map(|(_, count)| count).sum();
+        let mut plan = Self::with_capacity(patches, first.seq(), first.kept().len());
+        plan.refill(streams.iter().copied());
+        plan
+    }
+
+    /// A plan of no patches with room for `patches` of `seq` tokens, `m` of
+    /// them kept, for [`refill`](Self::refill) to fill.
+    pub(crate) fn with_capacity(patches: usize, seq: usize, m: usize) -> Self {
+        Self {
+            seq: 0,
+            kept_per_patch: 0,
+            patches: 0,
+            kept_rows: Vec::with_capacity(patches * m),
+            pos_rows: Vec::with_capacity(patches * m),
+            compose: Vec::with_capacity(patches * seq),
+            erased_rows: Vec::with_capacity(patches * (seq - m)),
+        }
+    }
+
+    /// Rebuilds this plan in place as [`new`](Self::new) builds it from
+    /// `streams`, keeping the buffers' capacity: a pooled plan serves group
+    /// after group without allocating once it has held the widest.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub(crate) fn refill<P: Borrow<DecodePlan>>(
+        &mut self,
+        streams: impl IntoIterator<Item = (P, usize)>,
+    ) {
+        let mut streams = streams.into_iter().peekable();
+        let (first, _) = streams.peek().expect("empty multi-mask plan");
+        let (seq, m) = (first.borrow().seq(), first.borrow().kept().len());
+        self.kept_rows.clear();
+        self.pos_rows.clear();
+        self.compose.clear();
+        self.erased_rows.clear();
         let mut pi = 0usize;
         for (plan, count) in streams {
+            let plan = plan.borrow();
             assert_eq!(plan.seq(), seq, "multi-mask plan mixes grid sizes");
             assert_eq!(
                 plan.kept().len(),
@@ -214,15 +171,16 @@ impl MultiMaskPlan {
                 "multi-mask plan mixes erase counts ({} kept vs {m})",
                 plan.kept().len()
             );
-            for _ in 0..*count {
-                kept_rows.extend(plan.kept().iter().map(|&p| pi * seq + p));
-                pos_rows.extend_from_slice(plan.kept());
-                compose.extend((0..seq).map(|p| plan.rank_of(p).map(|rank| pi * m + rank)));
-                erased_rows.extend(plan.erased().iter().map(|&p| pi * seq + p));
+            for _ in 0..count {
+                self.kept_rows.extend(plan.kept().iter().map(|&p| pi * seq + p));
+                self.pos_rows.extend_from_slice(plan.kept());
+                self.compose.extend((0..seq).map(|p| plan.rank_of(p).map(|rank| pi * m + rank)));
+                self.erased_rows.extend(plan.erased().iter().map(|&p| pi * seq + p));
                 pi += 1;
             }
         }
-        Self { seq, kept_per_patch: m, patches, kept_rows, pos_rows, compose, erased_rows }
+        assert!(pi > 0, "multi-mask plan without patches");
+        (self.seq, self.kept_per_patch, self.patches) = (seq, m, pi);
     }
 
     /// Tokens per patch.
@@ -255,41 +213,13 @@ impl MultiMaskPlan {
         &self.compose
     }
 
-    /// Erased-token rows, `patches * (seq - kept_per_patch)` long: the
-    /// rows a served decode predicts.
+    /// Erased-token rows, `patches * (seq - kept_per_patch)` long, patch
+    /// after patch and ascending within a patch: the rows a served decode
+    /// predicts (see
+    /// [`Reconstructor::infer_erased`](crate::Reconstructor::infer_erased)).
     pub fn erased_rows(&self) -> &[usize] {
         &self.erased_rows
     }
-
-    /// The row view of a forward over this plan's patches.
-    pub fn rows(&self) -> RowMaps<'_> {
-        RowMaps {
-            kept_rows: &self.kept_rows,
-            pos_rows: &self.pos_rows,
-            compose: &self.compose,
-            erased_rows: &self.erased_rows,
-        }
-    }
-}
-
-/// The index lists one transformer forward reads, borrowed from the plan
-/// that built them: a uniform group's [`DecodePlan`] (via
-/// [`DecodePlan::rows`]) or a mixed group's [`MultiMaskPlan`].
-#[derive(Debug, Clone, Copy)]
-pub struct RowMaps<'a> {
-    /// Encoder input gather rows inside the `[batch * seq, dim]` tokens.
-    pub(crate) kept_rows: &'a [usize],
-    /// `enc_pos` rows added to the encoder input: `[m]` broadcast over the
-    /// batch, or `[batch * m]`, one block per patch.
-    pub(crate) pos_rows: &'a [usize],
-    /// Decoder compose map: `Some(row)` scatters encoder output row `row`,
-    /// `None` fills the learned mask token.
-    pub(crate) compose: &'a [Option<usize>],
-    /// Erased-token rows inside the `[batch * seq, dim]` tokens, the same
-    /// count per patch, patch after patch and ascending within a patch: the
-    /// rows the served decode predicts (see
-    /// [`Reconstructor::infer_erased`](crate::Reconstructor::infer_erased)).
-    pub(crate) erased_rows: &'a [usize],
 }
 
 /// A bounded, mask-keyed cache of [`DecodePlan`]s shared by all decode
@@ -332,16 +262,18 @@ impl PlanCache {
     }
 }
 
-/// A pool of [`ScratchArena`]s so concurrent decodes (one decoder shared
-/// across server threads) each reuse a warmed-up arena instead of
-/// contending on one or allocating fresh buffers per call.
+/// A pool of forward workspaces — a [`ScratchArena`] and the
+/// [`MultiMaskPlan`] refilled per group, lent together under one lock — so
+/// concurrent decodes (one decoder shared across server threads) each reuse
+/// warmed-up buffers instead of contending on one or allocating fresh ones
+/// per call.
 #[derive(Debug, Default)]
 pub(crate) struct ArenaPool {
-    inner: Mutex<Vec<ScratchArena>>,
+    inner: Mutex<Vec<(ScratchArena, MultiMaskPlan)>>,
 }
 
 impl ArenaPool {
-    /// Arenas retained when returned; beyond this (more simultaneous
+    /// Workspaces retained when returned; beyond this (more simultaneous
     /// decodes than matmul workers would ever help) extras are dropped.
     const MAX_POOLED: usize = 16;
 
@@ -349,21 +281,21 @@ impl ArenaPool {
         Self::default()
     }
 
-    /// Takes a (possibly warmed) arena from the pool.
-    pub fn take(&self) -> ScratchArena {
+    /// Takes a (possibly warmed) arena and row plan from the pool.
+    pub fn take(&self) -> (ScratchArena, MultiMaskPlan) {
         // Not `unwrap_or_default`: `ScratchArena::new` also applies the
         // one-time malloc tuning.
         match self.inner.lock().unwrap_or_else(|e| e.into_inner()).pop() {
-            Some(arena) => arena,
-            None => ScratchArena::new(),
+            Some(workspace) => workspace,
+            None => (ScratchArena::new(), MultiMaskPlan::with_capacity(0, 0, 0)),
         }
     }
 
-    /// Returns an arena for reuse.
-    pub fn put(&self, arena: ScratchArena) {
+    /// Returns an arena and its row plan for reuse.
+    pub fn put(&self, arena: ScratchArena, plan: MultiMaskPlan) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.len() < Self::MAX_POOLED {
-            inner.push(arena);
+            inner.push((arena, plan));
         }
     }
 }
@@ -372,6 +304,36 @@ impl ArenaPool {
 mod tests {
     use super::*;
     use crate::config::EaszConfig;
+
+    /// Checks every row list of `plan` against its definition, read off
+    /// the masks directly: `masks[pi]` is the mask of patch `pi`.
+    fn assert_rows_follow_masks(plan: &MultiMaskPlan, masks: &[&EraseMask]) {
+        let n = masks[0].n_grid();
+        let seq = n * n;
+        let m = (0..seq).filter(|&p| !masks[0].is_erased(p / n, p % n)).count();
+        let t = seq - m;
+        assert_eq!((plan.seq(), plan.kept_per_patch(), plan.patches()), (seq, m, masks.len()));
+        assert_eq!(plan.kept_rows().len(), masks.len() * m);
+        assert_eq!(plan.pos_rows().len(), masks.len() * m);
+        assert_eq!(plan.compose().len(), masks.len() * seq);
+        assert_eq!(plan.erased_rows().len(), masks.len() * t);
+        for (pi, mask) in masks.iter().enumerate() {
+            let (mut rank, mut k) = (0usize, 0usize);
+            for p in 0..seq {
+                if mask.is_erased(p / n, p % n) {
+                    assert_eq!(plan.compose()[pi * seq + p], None, "patch {pi} pos {p}");
+                    assert_eq!(plan.erased_rows()[pi * t + k], pi * seq + p, "patch {pi} pos {p}");
+                    k += 1;
+                } else {
+                    assert_eq!(plan.kept_rows()[pi * m + rank], pi * seq + p, "patch {pi} pos {p}");
+                    assert_eq!(plan.pos_rows()[pi * m + rank], p, "patch {pi} pos {p}");
+                    assert_eq!(plan.compose()[pi * seq + p], Some(pi * m + rank), "patch {pi}");
+                    rank += 1;
+                }
+            }
+            assert_eq!((rank, k), (m, t), "patch {pi} erases a different count");
+        }
+    }
 
     #[test]
     fn plan_matches_mask_structure() {
@@ -397,41 +359,51 @@ mod tests {
     }
 
     #[test]
-    fn maps_are_memoised_per_batch_size() {
+    fn one_stream_plan_rows_follow_the_mask() {
         let mask = EaszConfig::default().make_mask();
         let plan = DecodePlan::new(&mask);
-        let a = plan.maps_for(4);
-        let b = plan.maps_for(4);
-        assert!(Arc::ptr_eq(&a, &b), "same batch size must share one map");
-        assert_eq!(a.kept_rows.len(), 4 * plan.kept().len());
-        assert_eq!(a.compose.len(), 4 * plan.seq());
-        // Map contents match the definition.
-        let m = plan.kept().len();
-        for bi in 0..4 {
-            for (rank, &p) in plan.kept().iter().enumerate() {
-                assert_eq!(a.kept_rows[bi * m + rank], bi * plan.seq() + p);
-                assert_eq!(a.compose[bi * plan.seq() + p], Some(bi * m + rank));
-            }
-            let t = plan.erased().len();
-            for (k, &p) in plan.erased().iter().enumerate() {
-                assert_eq!(a.erased_rows[bi * t + k], bi * plan.seq() + p);
-            }
+        for bsz in [1usize, 4, 8] {
+            let rows = MultiMaskPlan::new(&[(&plan, bsz)]);
+            assert_rows_follow_masks(&rows, &vec![&mask; bsz]);
         }
     }
 
     #[test]
-    fn batch_size_memo_stays_bounded() {
-        // Batch sizes come from what clients send; sweeping them under one
-        // mask must not pin a map per size.
-        let plan = DecodePlan::new(&EaszConfig::default().make_mask());
-        let n = 4 * DecodePlan::MAX_BATCH_SIZES;
-        for bsz in 1..=n {
-            assert_eq!(plan.maps_for(bsz).compose.len(), bsz * plan.seq());
-        }
-        assert_eq!(plan.maps.lock().expect("memo").len(), DecodePlan::MAX_BATCH_SIZES);
-        let recent = plan.maps_for(n);
-        assert!(Arc::ptr_eq(&recent, &plan.maps_for(n)), "a memoised size must share one map");
-        assert_eq!(plan.maps.lock().expect("memo").len(), DecodePlan::MAX_BATCH_SIZES);
+    fn multi_mask_plan_concatenates_per_stream_maps() {
+        let masks: Vec<EraseMask> = [7u64, 99, 1234]
+            .iter()
+            .map(|&seed| EaszConfig { mask_seed: seed, ..EaszConfig::default() }.make_mask())
+            .collect();
+        assert!(masks.windows(2).all(|w| w[0] != w[1]), "seeds must yield distinct masks");
+        let plans: Vec<DecodePlan> = masks.iter().map(DecodePlan::new).collect();
+        let rows = MultiMaskPlan::new(&[(&plans[0], 2), (&plans[1], 1), (&plans[2], 3)]);
+        let per_patch: Vec<&EraseMask> =
+            [0usize, 0, 1, 2, 2, 2].iter().map(|&i| &masks[i]).collect();
+        assert_rows_follow_masks(&rows, &per_patch);
+    }
+
+    #[test]
+    fn refilled_plan_equals_a_fresh_plan_with_no_stale_rows() {
+        // A pooled plan serves a wide window, then a narrower one under
+        // other masks: it must read exactly as a plan built for the
+        // narrower window alone.
+        let masks: Vec<EraseMask> = [5u64, 6]
+            .iter()
+            .map(|&seed| EaszConfig { mask_seed: seed, ..EaszConfig::default() }.make_mask())
+            .collect();
+        let plans: Vec<DecodePlan> = masks.iter().map(DecodePlan::new).collect();
+        let mut pooled = MultiMaskPlan::with_capacity(0, 0, 0);
+        pooled.refill([(&plans[0], 8), (&plans[1], 4)]);
+        assert_eq!(pooled.patches(), 12);
+        let narrow = [(&plans[1], 1), (&plans[0], 2)];
+        pooled.refill(narrow);
+        let fresh = MultiMaskPlan::new(&narrow);
+        assert_eq!(pooled.patches(), fresh.patches());
+        assert_eq!(pooled.kept_rows(), fresh.kept_rows());
+        assert_eq!(pooled.pos_rows(), fresh.pos_rows());
+        assert_eq!(pooled.compose(), fresh.compose());
+        assert_eq!(pooled.erased_rows(), fresh.erased_rows());
+        assert_rows_follow_masks(&pooled, &[&masks[1], &masks[0], &masks[0]]);
     }
 
     #[test]
@@ -456,49 +428,6 @@ mod tests {
     fn all_erased_mask_is_rejected() {
         let mask = EraseMask::from_cells(2, vec![true; 4]);
         let _ = DecodePlan::new(&mask);
-    }
-
-    #[test]
-    fn multi_mask_plan_concatenates_per_stream_maps() {
-        let a = EaszConfig::default().make_mask();
-        let b = EaszConfig { mask_seed: 99, ..EaszConfig::default() }.make_mask();
-        assert_ne!(a, b, "seeds must yield distinct masks for this test");
-        let (pa, pb) = (DecodePlan::new(&a), DecodePlan::new(&b));
-        assert_eq!(pa.kept().len(), pb.kept().len(), "same erase ratio, same kept count");
-        let fused = MultiMaskPlan::new(&[(&pa, 2), (&pb, 1)]);
-        assert_eq!(fused.patches(), 3);
-        let (seq, m) = (pa.seq(), pa.kept().len());
-        assert_eq!((fused.seq(), fused.kept_per_patch()), (seq, m));
-        // Patches 0 and 1 follow plan a, patch 2 follows plan b.
-        for (pi, plan) in [(0usize, &pa), (1, &pa), (2, &pb)] {
-            for (rank, &p) in plan.kept().iter().enumerate() {
-                assert_eq!(fused.kept_rows()[pi * m + rank], pi * seq + p);
-                assert_eq!(fused.pos_rows()[pi * m + rank], p);
-                assert_eq!(fused.compose()[pi * seq + p], Some(pi * m + rank));
-            }
-            for p in 0..seq {
-                if plan.rank_of(p).is_none() {
-                    assert_eq!(fused.compose()[pi * seq + p], None, "erased slot fills mask token");
-                }
-            }
-            let t = seq - m;
-            for (k, &p) in plan.erased().iter().enumerate() {
-                assert_eq!(fused.erased_rows()[pi * t + k], pi * seq + p);
-            }
-        }
-    }
-
-    #[test]
-    fn uniform_multi_mask_plan_matches_the_batch_maps() {
-        // With one shared mask the fused maps must degenerate to exactly
-        // the uniform-path BatchMaps (same gather rows, same compose map).
-        let mask = EaszConfig::default().make_mask();
-        let plan = DecodePlan::new(&mask);
-        let fused = MultiMaskPlan::new(&[(&plan, 4)]);
-        let maps = plan.maps_for(4);
-        assert_eq!(fused.kept_rows(), &maps.kept_rows[..]);
-        assert_eq!(fused.compose(), &maps.compose[..]);
-        assert_eq!(fused.erased_rows(), &maps.erased_rows[..]);
     }
 
     #[test]

@@ -292,16 +292,15 @@ fn served_erased_rows_match_the_full_row_forward_bitwise() {
 
                     // Uniform group: one mask over the whole batch.
                     let plan = &plans[0];
-                    let maps = plan.maps_for(bsz);
+                    let rows = MultiMaskPlan::new(&[(plan, bsz)]);
                     let full = |arena: &mut ScratchArena| match engine {
                         DecodeEngine::TapeFree => model.infer_tokens(&batch, plan, arena),
                         DecodeEngine::QuantizedInt8 => {
                             model.infer_tokens_quant(&batch, plan, arena)
                         }
                     };
-                    let served = |arena: &mut ScratchArena| {
-                        model.infer_erased(&batch, plan.rows(&maps), arena, engine)
-                    };
+                    let served =
+                        |arena: &mut ScratchArena| model.infer_erased(&batch, &rows, arena, engine);
                     let expect = erased_rows_of(&full(&mut arena), |_| plan.erased());
                     let got = served(&mut arena);
                     assert_eq!(got.len(), bsz * plan.erased().len() * cfg.token_dim(), "{case}");
@@ -327,7 +326,7 @@ fn served_erased_rows_match_the_full_row_forward_bitwise() {
                         }
                     };
                     let expect = erased_rows_of(&full, |pi| plans[mask_of[pi]].erased());
-                    let got = model.infer_erased(&batch, fused.rows(), &mut arena, engine);
+                    let got = model.infer_erased(&batch, &fused, &mut arena, engine);
                     assert_eq!(bits(&got), expect, "mixed-mask group diverges: {case}");
                 }
             }

@@ -99,6 +99,37 @@ fn malformed_containers_are_typed_errors_not_connection_deaths() {
             other => panic!("{id}: expected UnknownCodec, got {other:?}"),
         }
     }
+    // A genuine grayscale container for the RGB model: its payload has no
+    // forward to run through, so it is MALFORMED — on both front ends, and
+    // each connection decodes the good container afterwards.
+    let gray = EaszEncoder::new(EaszConfig::default())
+        .expect("encoder")
+        .compress(
+            &easz::image::color::luma(&Dataset::KodakLike.image(4).crop(0, 0, 32, 32)),
+            &JpegLikeCodec::new(),
+            Quality::new(70),
+        )
+        .expect("compress")
+        .to_bytes();
+    match client.decode(&gray) {
+        Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::Malformed),
+        other => panic!("threaded: expected Malformed, got {other:?}"),
+    }
+    #[cfg(target_os = "linux")]
+    {
+        let reactor = EaszServer::new(model())
+            .with_reactor(easz::server::ReactorConfig::default())
+            .spawn("127.0.0.1:0")
+            .expect("spawn reactor");
+        let mut via_reactor = EaszClient::connect(reactor.addr()).expect("connect");
+        match via_reactor.decode(&gray) {
+            Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::Malformed),
+            other => panic!("reactor: expected Malformed, got {other:?}"),
+        }
+        assert!(via_reactor.decode(&good).is_ok(), "reactor connection must survive");
+        drop(via_reactor);
+        reactor.shutdown().expect("clean reactor shutdown");
+    }
     // The same connection still decodes fine afterwards.
     assert!(client.decode(&good).is_ok(), "connection must survive typed errors");
     drop(client);
